@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.verify.guards import validate_matrix
+
 from .dtypes import as_float_array, working_dtype
 from .householder import geqr2, orm2r
 
@@ -71,10 +73,15 @@ class StreamingTSQR:
         return self._R[:k]
 
     def push(self, block: np.ndarray) -> "StreamingTSQR":
-        """Merge one block of rows (any height >= 1) into the stream."""
-        block = as_float_array(block)
-        if block.ndim != 2 or block.shape[1] != self.n_cols:
-            raise ValueError(f"block must be 2-D with {self.n_cols} columns")
+        """Merge one block of rows (any height >= 1) into the stream.
+
+        Raises:
+            ValueError: a block that is not 2-D, has the wrong number of
+                columns or rows, or holds NaN/Inf.
+        """
+        block = validate_matrix(block, where="StreamingTSQR.push")
+        if block.shape[1] != self.n_cols:
+            raise ValueError(f"block must have {self.n_cols} columns")
         if block.shape[0] < 1:
             raise ValueError("block must have at least one row")
         start = self._rows_seen

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.jacobi_svd import jacobi_svd, svd_via_jacobi
+from repro.core.jacobi_svd import jacobi_svd, round_robin_schedule, svd_via_jacobi
 
 
 class TestJacobiSVD:
@@ -100,3 +100,41 @@ class TestUnderflowRegression:
         assert np.all(np.isfinite(s))
         # Relative reconstruction still holds at denormal scale.
         assert np.linalg.norm((U * s) @ Vt - A) <= 1e-8 * np.linalg.norm(A)
+
+
+class TestRoundRobinSchedule:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100])
+    def test_every_pair_once_per_sweep(self, n):
+        P, Q = round_robin_schedule(n)
+        n_pad = n + n % 2
+        assert P.shape == Q.shape == (n_pad - 1, n_pad // 2)
+        assert np.all(P < Q)
+        for p, q in zip(P, Q):  # the pairs of one round are disjoint
+            assert len(set(p) | set(q)) == n_pad
+        pairs = [(int(p), int(q)) for p, q in zip(P.ravel(), Q.ravel()) if q < n]
+        expected = [(p, q) for p in range(n) for q in range(p + 1, n)]
+        assert sorted(pairs) == expected
+
+
+class TestRoundRobinSweeps:
+    def test_paper_shape_r_factor_matches_lapack(self, rng):
+        # Section VI-B: the SVD of the 100 x 100 R of a tall-skinny QR.
+        R = np.triu(rng.standard_normal((100, 100)))
+        U, s, Vt = jacobi_svd(R)
+        s_np = np.linalg.svd(R, compute_uv=False)
+        assert np.max(np.abs(s - s_np)) <= 1e-13 * s_np[0]
+        assert np.linalg.norm(U.T @ U - np.eye(100)) <= 1e-12
+        assert np.linalg.norm(Vt.T @ Vt - np.eye(100)) <= 1e-12
+        assert np.linalg.norm((U * s) @ Vt - R) <= 1e-13 * np.linalg.norm(R)
+
+    def test_sweep_cap_still_raises(self, rng):
+        with pytest.raises(RuntimeError, match="did not converge in 1 sweeps"):
+            jacobi_svd(rng.standard_normal((30, 30)), max_sweeps=1)
+
+    @pytest.mark.parametrize("m,n", [(9, 7), (5, 5), (13, 1), (1, 1)])
+    def test_odd_and_single_column_shapes(self, rng, m, n):
+        A = rng.standard_normal((m, n))
+        U, s, Vt = jacobi_svd(A)
+        assert U.shape == (m, n) and s.shape == (n,) and Vt.shape == (n, n)
+        assert np.allclose((U * s) @ Vt, A, atol=1e-12)
+        assert np.allclose(s, np.linalg.svd(A, compute_uv=False), atol=1e-12)

@@ -63,6 +63,19 @@ class TestStreamingR:
         with pytest.raises(ValueError):
             stq.push(rng.standard_normal((0, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_block_rejected(self, rng, bad):
+        stq = StreamingTSQR(n_cols=4)
+        stq.push(rng.standard_normal((6, 4)))
+        R_before = stq.R.copy()
+        block = rng.standard_normal((5, 4))
+        block[2, 1] = bad
+        with pytest.raises(ValueError, match="StreamingTSQR.push"):
+            stq.push(block)
+        # The rejected block left no trace in the stream.
+        assert stq.m == 6 and stq.n_blocks == 1
+        assert np.array_equal(stq.R, R_before)
+
     def test_bookkeeping(self, rng):
         stq = push_all(StreamingTSQR(n_cols=3), rng.standard_normal((30, 3)), [10, 20])
         assert stq.m == 30

@@ -78,6 +78,34 @@ def test_worker_threads_get_own_tids():
             assert s.parent is None
 
 
+def test_sequential_threads_get_distinct_tids():
+    """A thread that starts after another has exited may reuse its
+    threading.get_ident(); it must still get a track of its own."""
+
+    def worker():
+        with obs.span("task", cat="t"):
+            pass
+
+    # Whether CPython hands the second thread the first one's ident depends
+    # on thread-exit timing; repeat until it has (usually within a few
+    # tries) so the collapse case is exercised, not just the easy one.
+    for _ in range(50):
+        with obs.capture() as session:
+            with obs.span("main-side", cat="t"):
+                pass
+            idents = []
+            for _ in range(2):
+                th = threading.Thread(target=worker)
+                th.start()
+                th.join()
+                idents.append(th.ident)
+        t = session.trace
+        assert len({s.tid for s in t.spans}) == 3
+        assert sorted(t.thread_names) == [0, 1, 2]
+        if idents[0] == idents[1]:
+            break
+
+
 def test_nested_sessions_shadow():
     with obs.capture() as outer_s:
         with obs.span("before", cat="x"):

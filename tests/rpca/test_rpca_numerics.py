@@ -136,3 +136,17 @@ class TestRPCA:
 
         rpca_ialm(rng.standard_normal((30, 10)), max_iter=3, tol=0.0, svd=probe_svd)
         assert len(calls) == 3
+
+    def test_graph_engine_bit_identical_to_direct(self):
+        # Both engines run the same QR -> Jacobi SVD -> shrink arithmetic;
+        # the graph engine only reorganizes it into task-graph stages.
+        from repro.rpca.video import generate_video
+
+        M = generate_video(24, 32, 24, seed=9).M
+        direct = rpca_ialm(M, tol=1e-4, max_iter=25, engine="direct")
+        graph = rpca_ialm(M, tol=1e-4, max_iter=25, engine="graph")
+        assert np.array_equal(graph.L, direct.L)
+        assert np.array_equal(graph.S, direct.S)
+        assert graph.residuals == direct.residuals
+        assert graph.ranks == direct.ranks
+        assert graph.n_iterations == direct.n_iterations
