@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.verify.guards import validate_matrix
+
 from .caqr import caqr_qr
 from .jacobi_svd import jacobi_svd
 from .tsqr import tsqr_qr
@@ -50,8 +52,12 @@ def tall_skinny_svd(
 
     Returns:
         ``(U, s, Vt)`` with ``U`` of shape ``m x n``.
+
+    Raises:
+        TypeError: complex input.
+        ValueError: non-2-D input, NaN/Inf entries, or ``m < n``.
     """
-    A = np.asarray(A, dtype=float)
+    A = validate_matrix(A, where="tall_skinny_svd", dtype=np.float64)
     m, n = A.shape
     if m < n:
         raise ValueError("tall_skinny_svd requires m >= n")

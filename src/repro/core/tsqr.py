@@ -26,6 +26,16 @@ Two numeric execution strategies coexist:
     correctness oracle for the property tests and the baseline the
     real-time benchmark measures speedups against.
 
+Level-0 geometry.  A requested ``block_rows >= n`` is honoured as given
+(the paper's 64-row blocks for a 16-wide panel).  A shorter request
+cannot hold an ``n x n`` triangle, so :func:`level0_rows` makes the
+blocks ``16 * n`` rows tall: each block shrinks 16:1 before the tree.
+Square blocks, the old fallback, shrink nothing and roughly double the
+Householder flops of one ``geqrf``.  In a factor + ``form_q`` sweep of
+1n-32n at widths 32-192 (EXPERIMENTS.md, "TSQR level-0 height"), 16n
+was best or within 5% of best at every width and square blocks were
+the worst choice everywhere.
+
 This module is the pure-numerics implementation; the GPU-simulated
 execution (launch costs, timing) reuses these factor objects through
 :mod:`repro.caqr_gpu` — the simulator timeline depends only on shapes,
@@ -47,7 +57,7 @@ from repro.smallblas.wy import apply_wy, geqr2_blocked, wy_factors
 from .structured import StructuredStackFactor, structured_stack_qr
 from .tree import TreeSchedule, batch_level, build_tree
 
-__all__ = ["row_blocks", "TSQRFactors", "tsqr", "tsqr_qr", "apply_wy_plan"]
+__all__ = ["row_blocks", "level0_rows", "TSQRFactors", "tsqr", "tsqr_qr", "apply_wy_plan"]
 
 
 def row_blocks(m: int, block_rows: int) -> list[tuple[int, int]]:
@@ -62,6 +72,21 @@ def row_blocks(m: int, block_rows: int) -> list[tuple[int, int]]:
     if block_rows < 1:
         raise ValueError("block_rows must be positive")
     return [(i, min(i + block_rows, m)) for i in range(0, m, block_rows)]
+
+
+def level0_rows(block_rows: int, width: int) -> int:
+    """Effective level-0 block height for a panel of ``width`` columns.
+
+    ``block_rows >= width`` is honoured unchanged; a shorter request
+    cannot hold a ``width x width`` triangle and becomes ``16 * width``
+    (see the module docstring for why 16).  Every host numeric engine
+    (TSQR, CAQR panels, :mod:`repro.runtime.plan`, the look-ahead
+    executor and the serving batch plan) sizes its blocks through this
+    one function, so they stay bit-identical to each other.
+    """
+    if block_rows >= width:
+        return block_rows
+    return 16 * width
 
 
 @dataclass
@@ -672,7 +697,9 @@ def _tsqr_impl(
     # TSQR requires the block height to be at least the panel width so every
     # level-0 R is a full n x n triangle and the final R lands contiguously
     # in the first block (the paper always has block height 64 >= width 16).
-    block_rows = max(block_rows, n)
+    # A shorter request falls back to 16n-row blocks, not square ones: see
+    # level0_rows for the rule and EXPERIMENTS.md for the sweep behind it.
+    block_rows = level0_rows(block_rows, n)
     ranges = row_blocks(m, block_rows)
     tree = build_tree(len(ranges), tree_shape)
     if batched:

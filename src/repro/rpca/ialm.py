@@ -18,6 +18,8 @@ import numpy as np
 
 from typing import Callable as _Callable
 
+from repro.verify.guards import validate_matrix
+
 from .shrinkage import shrink
 from .svt import SVDFunc, singular_value_threshold
 
@@ -79,12 +81,14 @@ def rpca_ialm(
             bit-identical, with per-stage obs spans.  The graph engine
             fixes the default QR→SVT pipeline, so it rejects ``svd`` /
             ``svt`` overrides.
+
+    Raises:
+        TypeError: complex input.
+        ValueError: non-2-D or empty input, or NaN/Inf entries.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.size == 0:
+    M = validate_matrix(M, where="rpca_ialm", dtype=np.float64)
+    if M.size == 0:
         raise ValueError("M must be a non-empty 2-D matrix")
-    if not np.isfinite(M).all():
-        raise ValueError("Robust PCA requires finite input (NaN/Inf found)")
     m, n = M.shape
     norm_M = np.linalg.norm(M)
     if norm_M == 0.0:

@@ -130,6 +130,10 @@ class ExecutionPolicy:
             grid exercises geometries (e.g. ``block_rows < panel_width``,
             free-form tree names) that the modeled-domain
             :class:`~repro.kernels.config.KernelConfig` cannot represent.
+            ``block_rows`` is honoured whenever it is at least the panel
+            width; a shorter request gives ``16 * width``-row level-0
+            blocks (:func:`repro.core.tsqr.level0_rows`, sized by the
+            sweep in EXPERIMENTS.md, "TSQR level-0 height").
         workers: column tiles per trailing update / thread-pool width for
             the look-ahead executor (``None`` means 1).  Only meaningful
             for ``path="lookahead"`` (and the threaded explicit-Q

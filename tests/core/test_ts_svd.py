@@ -43,6 +43,24 @@ class TestTallSkinnySVD:
         P_np = U_np @ U_np.T
         assert np.allclose(P, P_np, atol=1e-9)
 
+    def test_complex_rejected(self, rng):
+        A = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+        with pytest.raises(TypeError, match="tall_skinny_svd: complex"):
+            tall_skinny_svd(A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, rng, bad):
+        A = rng.standard_normal((40, 4))
+        A[7, 2] = bad
+        with pytest.raises(ValueError, match="tall_skinny_svd: input contains"):
+            tall_skinny_svd(A, qr=np.linalg.qr)  # an engine with no guard of its own
+
+    def test_float32_promoted_to_float64(self, rng):
+        A = rng.standard_normal((120, 6)).astype(np.float32)
+        U, s, Vt = tall_skinny_svd(A)
+        assert U.dtype == s.dtype == Vt.dtype == np.float64
+        assert np.allclose((U * s) @ Vt, A, atol=1e-5)
+
     def test_wide_rejected(self, rng):
         with pytest.raises(ValueError):
             tall_skinny_svd(rng.standard_normal((5, 10)))

@@ -127,6 +127,23 @@ class TestRPCA:
         with pytest.raises(ValueError):
             rpca_ialm(np.zeros(5))
 
+    def test_complex_input_rejected(self, rng):
+        M = rng.standard_normal((30, 10)) + 1j * rng.standard_normal((30, 10))
+        with pytest.raises(TypeError, match="rpca_ialm: complex"):
+            rpca_ialm(M, max_iter=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_rejected(self, rng, bad):
+        M = rng.standard_normal((30, 10))
+        M[3, 4] = bad
+        with pytest.raises(ValueError, match="rpca_ialm: input contains"):
+            rpca_ialm(M, max_iter=2)
+
+    def test_float32_input_computes_in_float64(self, rng):
+        M = rng.standard_normal((30, 10)).astype(np.float32)
+        res = rpca_ialm(M, max_iter=3, tol=0.0)
+        assert res.L.dtype == res.S.dtype == np.float64
+
     def test_custom_svd_engine_used(self, rng):
         calls = []
 
