@@ -241,16 +241,19 @@ def caqr_qr(
     policy: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convenience: explicit thin ``(Q, R)`` via CAQR."""
-    f = caqr(
-        A,
-        panel_width=panel_width,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-        structured=structured,
+    # Resolved here, not in caqr(), so a legacy-kwarg warning names the
+    # caller's line rather than this one.
+    policy = resolve_policy(
+        "caqr",
+        policy,
         batched=batched,
+        structured=structured,
         lookahead=lookahead,
         workers=workers,
         nonfinite=nonfinite,
-        policy=policy,
+        panel_width=panel_width,
+        block_rows=block_rows,
+        tree_shape=tree_shape,
     )
+    f = caqr(A, policy=policy)
     return f.form_q(), f.R

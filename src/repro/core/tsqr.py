@@ -10,15 +10,20 @@ from which Q or Q^T can be applied, or the explicit thin Q formed.
 Two numeric execution strategies coexist:
 
 ``batched=True`` (default)
-    The whole hot path is vectorized.  Level 0 is factored as one padded
-    ``(blocks, block_rows, n)`` batch (a short last block is zero-padded —
-    exact, since Householder reflectors never touch all-zero pad rows);
-    every tree level is factored with one blocked batched QR per
-    heights-signature, stacking all nodes of the level.  Q applications
-    run through a precomputed :class:`_WyPlan`: fancy-index gather /
-    scatter row maps plus cached compact-WY ``(V, T)`` factors, so each
-    level of the tree is three batched GEMMs (``C -= V (T' (V' C))``)
-    instead of a Python loop of per-reflector rank-1 updates.
+    The whole hot path is vectorized.  Level 0 is factored as one
+    ``(blocks, block_rows, n)`` batch (a zero-copy reshape; a ragged last
+    block is a batch of one at its exact height), and every tree level
+    with one batch per heights-signature, stacking all nodes of the
+    level — all through :func:`repro.smallblas.wy.block_qr`, the level-0
+    kernel every host engine shares (LAPACK ``geqrt`` for tall blocks
+    with enough work, such as the 1600x100 blocks of the RPCA matrix;
+    the stacked-QR gufunc for many tiny ones, such as the paper's 64x16).
+    Q applications run through a precomputed :class:`_WyPlan`:
+    fancy-index gather / scatter row maps plus cached compact-WY
+    ``(V, T)`` factors, so each level of the tree is three batched GEMMs
+    (``C -= V (T' (V' C))``) instead of a Python loop of per-reflector
+    rank-1 updates.  ``form_q`` skips the rows of ``[I; 0]`` it knows are
+    still zero when it reaches level 0 (:func:`_form_q_level0`).
 
 ``batched=False``
     The seed per-node reference path, kept verbatim: per-block loops,
@@ -53,7 +58,7 @@ from .householder import geqr2, orm2r
 from repro.obs import tracer as _obs
 from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_policy
 from repro.smallblas.batched import batched_apply_blocked, batched_geqr2
-from repro.smallblas.wy import apply_wy, geqr2_blocked, wy_factors
+from repro.smallblas.wy import BlockQR, _scratch, apply_wy, block_qr, wy_factors
 from .structured import StructuredStackFactor, structured_stack_qr
 from .tree import TreeSchedule, batch_level, build_tree
 
@@ -89,13 +94,33 @@ def level0_rows(block_rows: int, width: int) -> int:
     return 16 * width
 
 
-@dataclass
-class _LevelZeroFactor:
+class _PackedFactor:
+    """Packed ``(VR, tau)`` Householder factor of one block.
+
+    Given directly (the seed path, factors loaded by :mod:`repro.io`), or
+    read on first use from slice ``index`` of the :class:`BlockQR` the
+    batched path factored the block in — the kernel's geqrt side never
+    assembles ``VR`` unless a reader (the seed apply path, :mod:`repro.io`)
+    asks for it.
+    """
+
+    def __init__(self, VR=None, tau=None, qr: BlockQR | None = None, index: int = 0):
+        self._VR, self._qr, self._index = VR, qr, index
+        self.tau = tau if qr is None else qr.tau[index]
+
+    @property
+    def VR(self) -> np.ndarray:
+        if self._VR is None:
+            self._VR = self._qr.packed()[self._index]
+        return self._VR
+
+
+class _LevelZeroFactor(_PackedFactor):
     """Packed Householder factor of one level-0 row block."""
 
-    rows: tuple[int, int]  # [start, stop) within the panel
-    VR: np.ndarray
-    tau: np.ndarray
+    def __init__(self, rows: tuple[int, int], VR=None, tau=None, qr=None, index=0):
+        super().__init__(VR, tau, qr, index)
+        self.rows = rows  # [start, stop) within the panel
 
     @property
     def r_height(self) -> int:
@@ -103,8 +128,7 @@ class _LevelZeroFactor:
         return min(self.VR.shape[0], self.VR.shape[1])
 
 
-@dataclass
-class _TreeFactor:
+class _TreeFactor(_PackedFactor):
     """Householder factor of one stacked-R elimination group.
 
     Either a dense packed ``(VR, tau)`` (the ``factor_tree`` kernel's
@@ -112,11 +136,20 @@ class _TreeFactor:
     (Figure 2(c)'s optional optimization).
     """
 
-    group: tuple[int, ...]  # member level-0 block indices (first survives)
-    heights: tuple[int, ...]  # R rows contributed by each member
-    VR: np.ndarray | None = None
-    tau: np.ndarray | None = None
-    structured: StructuredStackFactor | None = None
+    def __init__(
+        self,
+        group: tuple[int, ...],
+        heights: tuple[int, ...],
+        VR=None,
+        tau=None,
+        structured: StructuredStackFactor | None = None,
+        qr=None,
+        index=0,
+    ):
+        super().__init__(VR, tau, qr, index)
+        self.group = group  # member level-0 block indices (first survives)
+        self.heights = heights  # R rows contributed by each member
+        self.structured = structured
 
     def apply_qt_stack(self, stacked: np.ndarray) -> np.ndarray:
         if self.structured is not None:
@@ -149,8 +182,7 @@ class _WyPlan:
     l0_h: int
     l0_V: np.ndarray | None
     l0_T: np.ndarray | None
-    # (row_start, real_height, V, T); V may be taller than real_height,
-    # in which case the extra reflector rows are exact zeros (padding).
+    # (row_start, height, V, T) of the ragged last block, factored alone
     l0_tail: list[tuple[int, int, np.ndarray, np.ndarray]]
     # per level: [("wy", idx, V, T) | ("structured", tree_factor, idx)]
     levels: list[list[tuple]]
@@ -287,17 +319,50 @@ def _plan_apply_level0_impl(plan: _WyPlan, B: np.ndarray, transpose: bool) -> No
             tiles = np.ascontiguousarray(seg).reshape(count, h, w)
             apply_wy(plan.l0_V, plan.l0_T, tiles, transpose=transpose)
             seg[:] = tiles.reshape(count * h, w)
-    for start, h_real, V1, T1 in plan.l0_tail:
-        hv = V1.shape[1]
-        if hv == h_real:
-            apply_wy(V1, T1, B[start : start + h_real][None], transpose=transpose)
-        else:
-            # Padded batch of one: the V rows past h_real are exact zeros,
-            # so the update on the pad rows is a no-op.
-            sub = np.zeros((1, hv, w), dtype=B.dtype)
-            sub[0, :h_real] = B[start : start + h_real]
-            apply_wy(V1, T1, sub, transpose=transpose)
-            B[start : start + h_real] = sub[0, :h_real]
+    _apply_level0_tail(plan, B, transpose)
+
+
+def _apply_level0_tail(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
+    for start, h, V1, T1 in plan.l0_tail:
+        apply_wy(V1, T1, B[start : start + h][None], transpose=transpose)
+
+
+def _form_q_level0(plan: _WyPlan, Q: np.ndarray) -> None:
+    """Level-0 step of ``form_q``, skipping the rows known to be zero.
+
+    After the tree levels, each uniform block of ``Q`` is ``[C_b; 0]``:
+    the tree's result in its top ``k`` rows, exact zeros below.  So
+    ``V_b^T [C_b; 0] = V_top^T C_b`` and the block becomes
+    ``Q_b = -V_b (T_b V_top^T C_b)``, written straight into ``Q``, plus
+    ``C_b`` on its top rows.  Adding exact zeros does not change a sum,
+    so this equals :func:`apply_wy` on the whole block bit for bit while
+    reading ``V`` once instead of twice.  The ragged tail and blocks with
+    no zero rows (``h == k``) go through the general apply.
+    """
+    count, h = plan.l0_count, plan.l0_h
+    if not count or plan.l0_V.shape[2] == h:
+        _plan_apply_level0_impl(plan, Q, transpose=False)
+        return
+    w = Q.shape[1]
+    k = plan.l0_V.shape[2]
+    tiles = Q[: count * h].reshape(count, h, w)
+    per_block = 3 * k * w
+    chunk = max(1, min(count, 131072 // per_block))  # apply_wy's default bound
+    buf = _scratch(chunk * per_block, Q.dtype)
+    for s0 in range(0, count, chunk):
+        s1 = min(s0 + chunk, count)
+        cb = s1 - s0
+        V, Qc = plan.l0_V[s0:s1], tiles[s0:s1]
+        C = buf[: cb * k * w].reshape(cb, k, w)
+        W1 = buf[cb * k * w : 2 * cb * k * w].reshape(cb, k, w)
+        W2 = buf[2 * cb * k * w : cb * per_block].reshape(cb, k, w)
+        np.copyto(C, Qc[:, :k])
+        np.matmul(V[:, :k].transpose(0, 2, 1), C, out=W1)
+        np.matmul(plan.l0_T[s0:s1], W1, out=W2)
+        np.negative(W2, out=W2)
+        np.matmul(V, W2, out=Qc)
+        Qc[:, :k] += C
+    _apply_level0_tail(plan, Q, transpose=False)
 
 
 def apply_wy_plan(plan: _WyPlan, B: np.ndarray, transpose: bool) -> None:
@@ -496,7 +561,17 @@ class TSQRFactors:
         k = min(self.m, self.n)
         Q = np.zeros((self.m, k), dtype=working_dtype(self.R))
         np.fill_diagonal(Q, 1.0)
-        return self.apply_q(Q)
+        if not self.batched:
+            return self.apply_q(Q)
+        plan = self._plan_for(Q.dtype)
+        for entries in reversed(plan.levels):
+            _plan_apply_level(entries, Q, transpose=False)
+        if _obs.enabled():
+            with _obs.span("apply.level0", cat="apply.level0", cols=k):
+                _form_q_level0(plan, Q)
+        else:
+            _form_q_level0(plan, Q)
+        return Q
 
 
 def _tsqr_batched(
@@ -523,28 +598,21 @@ def _tsqr_batched(
         # ever touch pad rows.
         stack = A[: l0_count * block_rows].reshape(l0_count, block_rows, n)
     with _obs.span("tsqr.level0", cat="factor.level0", blocks=nb):
-        VRb, taub, Vb, Tb = geqr2_blocked(stack)
-    bh = stack.shape[1]
-    k0 = min(bh, n)
-
-    blocks: list[_LevelZeroFactor] = []
-    for i, (s, e) in enumerate(ranges[:l0_count]):
-        blocks.append(_LevelZeroFactor(rows=(s, e), VR=VRb[i], tau=taub[i]))
-
-    Rb = np.triu(VRb[:, :k0, :])
-    current_r: dict[int, np.ndarray] = {}
-    for i in range(l0_count):
-        current_r[i] = Rb[i]
+        qr0 = block_qr(stack)
+        V0, T0 = qr0.V, qr0.T
+    blocks = [
+        _LevelZeroFactor((s, e), qr=qr0, index=i) for i, (s, e) in enumerate(ranges[:l0_count])
+    ]
+    current_r: dict[int, np.ndarray] = {i: qr0.R[i] for i in range(l0_count)}
 
     l0_tail = []
     if ragged:
         s, e = ranges[-1]
         with _obs.span("tsqr.level0", cat="factor.level0", blocks=1):
-            VRl, taul, Vl, Tl = geqr2_blocked(A[s:e][None, :, :])
-        blocks.append(_LevelZeroFactor(rows=(s, e), VR=VRl[0], tau=taul[0]))
-        kl = min(h_last, n)
-        current_r[nb - 1] = np.triu(VRl[0, :kl, :])
-        l0_tail.append((s, h_last, Vl, Tl))
+            qrl = block_qr(A[s:e][None, :, :])
+            l0_tail.append((s, h_last, qrl.V, qrl.T))
+        blocks.append(_LevelZeroFactor((s, e), qr=qrl))
+        current_r[nb - 1] = qrl.R[0]
 
     tree_factors: list[list[_TreeFactor]] = []
     plan_levels: list[list[tuple]] = []
@@ -578,15 +646,11 @@ def _tsqr_batched(
                         [np.vstack([current_r[i] for i in grp]) for grp in groups]
                     )
                 with _obs.span("tsqr.tree", cat="factor.tree", groups=g):
-                    VRt, taut, Vt, Tt = geqr2_blocked(stacked)
-                kt = min(H, n)
-                Rt = np.triu(VRt[:, :kt, :])
-                entries.append(("wy", _level_row_index(blocks, groups, sig), Vt, Tt))
+                    qrt = block_qr(stacked)
+                    entries.append(("wy", _level_row_index(blocks, groups, sig), qrt.V, qrt.T))
                 for gi, (p, grp) in enumerate(zip(poss, groups)):
-                    level_factors[p] = _TreeFactor(
-                        group=grp, heights=sig, VR=VRt[gi], tau=taut[gi]
-                    )
-                    current_r[grp[0]] = Rt[gi]
+                    level_factors[p] = _TreeFactor(group=grp, heights=sig, qr=qrt, index=gi)
+                    current_r[grp[0]] = qrt.R[gi]
                     for dead in grp[1:]:
                         del current_r[dead]
         tree_factors.append(list(level_factors))
@@ -603,9 +667,9 @@ def _tsqr_batched(
     f._wy_plan[np.dtype(dt)] = _WyPlan(
         dtype=np.dtype(dt),
         l0_count=l0_count,
-        l0_h=bh,
-        l0_V=Vb[:l0_count],
-        l0_T=Tb[:l0_count],
+        l0_h=stack.shape[1],
+        l0_V=V0,
+        l0_T=T0,
         l0_tail=l0_tail,
         levels=plan_levels,
     )
@@ -778,13 +842,16 @@ def tsqr_qr(
     policy: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convenience: explicit thin ``(Q, R)`` via TSQR."""
-    f = tsqr(
-        A,
+    # Resolved here, not in tsqr(), so a legacy-kwarg warning names the
+    # caller's line rather than this one.
+    policy = resolve_policy(
+        "tsqr",
+        policy,
+        batched=batched,
+        structured=structured,
+        nonfinite=nonfinite,
         block_rows=block_rows,
         tree_shape=tree_shape,
-        structured=structured,
-        batched=batched,
-        nonfinite=nonfinite,
-        policy=policy,
     )
+    f = tsqr(A, policy=policy)
     return f.form_q(), f.R

@@ -17,20 +17,20 @@ simulator, run for real over the batched compact-WY kernels of
   ``workers`` alone, never on ``threaded``).
 
 * **Lean replay.**  The panel factorization keeps only what the apply
-  plan needs: the packed QR output is consumed through strided views
-  (no ``ascontiguousarray`` repack of the reflector stacks), tree-level
-  R stacks are zero-copy reshapes of a contiguous backing array instead
-  of per-node gathers, no per-block/per-node factor objects are built,
-  and the shape-dependent schedule (row maps, batch slicing) is computed
-  once per ``(panel_height, width, block_rows, tree)`` and replayed from
-  an LRU cache — the CUDA-Graphs capture/replay idiom, host-side.
-  Panels with no trailing matrix defer building their compact-WY
-  ``(V, T)`` until a Q application actually needs them.
+  plan needs: the :class:`~repro.smallblas.wy.BlockQR` of each level,
+  tree-level R stacks that are zero-copy reshapes of a contiguous
+  backing array instead of per-node gathers, no per-block/per-node
+  factor objects, and a shape-dependent schedule (row maps, batch
+  slicing) computed once per ``(panel_height, width, block_rows, tree)``
+  and replayed from an LRU cache — the CUDA-Graphs capture/replay idiom,
+  host-side.  Panels with no trailing matrix defer building their
+  compact-WY ``(V, T)`` until a Q application needs them (on the
+  kernel's gufunc side; its geqrt side returns them with ``R``).
 
 Numerically the executor matches ``caqr(batched=True)`` to roundoff
-(the factor kernel is the same LAPACK ``geqrf``; only operation *order*
-across independent tiles differs), and matches itself exactly across
-``threaded=True/False``.  The ``structured`` tree elimination is not
+(both factor every block with :func:`~repro.smallblas.wy.block_qr`; only
+operation *order* across independent tiles differs), and matches itself
+exactly across ``threaded=True/False``.  The ``structured`` tree elimination is not
 supported here — use :func:`repro.core.caqr.caqr` for that path.
 """
 
@@ -50,7 +50,7 @@ from repro.graph.highlevel import TaskGraph
 from repro.graph.order import static_order
 from repro.obs import tracer as _obs
 from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_executor_policy
-from repro.smallblas.wy import extract_v, larft
+from repro.smallblas.wy import block_qr
 from repro.verify.guards import validate_matrix
 
 __all__ = [
@@ -105,7 +105,6 @@ class _PanelRecipe:
     tail_h: int
     levels: tuple[tuple[_LevelBatch, ...], ...]
     carried: tuple[int, ...]  # per level: alive entries riding along
-    low_mask: np.ndarray  # (width, width) strictly-lower boolean mask
 
 
 _RECIPES: OrderedDict[tuple, _PanelRecipe | None] = OrderedDict()
@@ -170,7 +169,6 @@ def _build_recipe(hp: int, width: int, bh: int, tree_shape: str) -> _PanelRecipe
         tail_h=tail_h,
         levels=tuple(levels),
         carried=tuple(carried),
-        low_mask=~np.triu(np.ones((width, width), dtype=bool)),
     )
 
 
@@ -197,10 +195,10 @@ def _recipe(hp: int, width: int, bh: int, tree_shape: str) -> _PanelRecipe | Non
 class _PanelPlan:
     """One factored panel: its R, and a lazily-built apply plan.
 
-    The factor task stores the raw packed QR outputs (``VR`` stacks as
-    strided views plus ``tau``); the compact-WY ``(V, T)`` factors are
-    assembled on first use — immediately for panels that have a trailing
-    matrix, lazily (and lock-protected) for panels that do not.
+    The factor task stores the :class:`~repro.smallblas.wy.BlockQR` of
+    every level; the apply plan reads their compact-WY ``(V, T)`` on
+    first use — immediately for panels that have a trailing matrix,
+    lazily (and lock-protected) for panels that do not.
     """
 
     row_start: int
@@ -220,33 +218,21 @@ class _PanelPlan:
                 plan = self._plan
                 if plan is None:
                     plan = self._plan = self._build_plan()
-                    self._raw = None  # raw stacks no longer needed
+                    self._raw = None  # level factors now live in the plan
         return plan
 
     def _build_plan(self) -> _WyPlan:
         if self._fallback is not None:
             return self._fallback._plan_for(working_dtype(self.R))
-        rec, VR0, tau0, tail_raw, levels_raw = self._raw
-        V0 = extract_v(VR0)
-        T0 = larft(V0, tau0)
-        l0_tail = []
-        if tail_raw is not None:
-            VRt, taut = tail_raw
-            Vt = extract_v(VRt)
-            l0_tail.append((rec.tail_start, rec.tail_h, Vt, larft(Vt, taut)))
-        levels = []
-        for entries_raw in levels_raw:
-            entries = []
-            for idx, VRl, taul in entries_raw:
-                Vl = extract_v(VRl)
-                entries.append(("wy", idx, Vl, larft(Vl, taul)))
-            levels.append(entries)
+        rec, qr0, tail, levels_raw = self._raw
+        l0_tail = [] if tail is None else [(rec.tail_start, rec.tail_h, tail.V, tail.T)]
+        levels = [[("wy", idx, qr.V, qr.T) for idx, qr in entries] for entries in levels_raw]
         return _WyPlan(
-            dtype=np.dtype(V0.dtype),
+            dtype=np.dtype(qr0.V.dtype),
             l0_count=rec.l0_count,
             l0_h=rec.l0_h,
-            l0_V=V0,
-            l0_T=T0,
+            l0_V=qr0.V,
+            l0_T=qr0.T,
             l0_tail=l0_tail,
             levels=levels,
         )
@@ -256,6 +242,13 @@ class _PanelPlan:
 
     def apply_q(self, B: np.ndarray) -> None:
         apply_wy_plan(self.plan(), B, transpose=False)
+
+
+def _take_r(qr) -> np.ndarray:
+    """``qr.R``, dropped from ``qr``: a panel keeps its level factors until
+    its apply plan is built, and the plan needs only ``V`` and ``T``."""
+    R, qr.R = qr.R, None
+    return R
 
 
 def _factor_panel(
@@ -272,25 +265,20 @@ def _factor_panel(
         if eager:
             pp.plan()
         return
-    # Level 0: one batched geqrf over the uniform blocks, consumed as a
-    # strided view — R rows are sliced out, reflectors stay packed.
+    # Level 0: one block_qr over the uniform blocks; the tree levels then
+    # stack R triangles out of one backing slab.
     if rec.nb == 1:
         stack = Wp[None, :, :]
     else:
         stack = Wp[: rec.l0_count * bh].reshape(rec.l0_count, bh, width)
     with _obs.span("panel.level0", cat="factor.level0", blocks=rec.nb):
-        h, tau0 = np.linalg.qr(stack, mode="raw")
-        VR0 = h.transpose(0, 2, 1)  # (l0_count, l0_h, width) view
-        dt = VR0.dtype
-        backing = np.empty((rec.nb, width, width), dtype=dt)
-        backing[: rec.l0_count] = VR0[:, :width, :]
-        tail_raw = None
+        qr0 = block_qr(stack)
+        backing = np.empty((rec.nb, width, width), dtype=qr0.tau.dtype)
+        backing[: rec.l0_count] = _take_r(qr0)
+        tail = None
         if rec.ragged:
-            ht, taut = np.linalg.qr(Wp[rec.tail_start :][None, :, :], mode="raw")
-            VRt = ht.transpose(0, 2, 1)
-            backing[rec.nb - 1] = VRt[0, :width, :]
-            tail_raw = (VRt, taut)
-        backing[:, rec.low_mask] = 0.0
+            tail = block_qr(Wp[rec.tail_start :][None, :, :])
+            backing[rec.nb - 1] = _take_r(tail)[0]
     # Tree levels: every stacked-R input is a zero-copy reshape of the
     # backing slab; the outputs become the next slab.
     levels_raw = []
@@ -303,12 +291,9 @@ def _factor_panel(
                 src = backing[lb.pos0 : lb.pos0 + lb.g * lb.arity].reshape(
                     lb.g, lb.arity * width, width
                 )
-                hh, taul = np.linalg.qr(src, mode="raw")
-                VRl = hh.transpose(0, 2, 1)
-                entries_raw.append((lb.idx, VRl, taul))
-                Rt = VRl[:, :width, :].copy()
-                Rt[:, rec.low_mask] = 0.0
-                outs.append(Rt)
+                qr = block_qr(src)
+                entries_raw.append((lb.idx, qr))
+                outs.append(_take_r(qr))
                 used += lb.g * lb.arity
             if len(outs) == 1 and n_ride == 0:
                 backing = outs[0]
@@ -316,7 +301,7 @@ def _factor_panel(
                 backing = np.concatenate(outs + ([backing[used:]] if n_ride else []))
         levels_raw.append(entries_raw)
     pp.R = backing[0]
-    pp._raw = (rec, VR0, tau0, tail_raw, levels_raw)
+    pp._raw = (rec, qr0, tail, levels_raw)
     if eager:
         pp.plan()
 

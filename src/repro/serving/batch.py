@@ -8,10 +8,11 @@ factorization, tree combine, trailing update and Q application runs as
 one gufunc/GEMM call over ``r * nodes`` slices instead of ``nodes``
 slices ``r`` times.
 
-**Bit-identity.**  Every kernel involved — the stacked-QR gufunc behind
-:func:`repro.smallblas.wy.geqr2_wy`, :func:`~repro.smallblas.wy.larft`,
-and the three batched GEMMs of :func:`~repro.smallblas.wy.apply_wy` —
-computes each batch slice independently and deterministically, so slice
+**Bit-identity.**  Every kernel involved — the level-0 Householder
+kernel :func:`repro.smallblas.wy.block_qr` (whose gufunc-or-geqrt choice
+reads only the block shape, never the batch count) and the three batched
+GEMMs of :func:`~repro.smallblas.wy.apply_wy` — computes each batch
+slice independently and deterministically, so slice
 ``i`` of the stacked result equals what ``QRPlan.factor`` produces for
 request ``i`` alone, bit for bit.  The serving tests pin this; it is the
 contract that lets the coalescer merge tenants' requests without
@@ -19,7 +20,7 @@ changing anyone's answer.
 
 **Why a plan object.**  At serving shapes (hundreds of rows, tens of
 columns) the per-batch Python work — building the reduction tree,
-row-index maps for the scatter/gather levels, boolean triangle masks —
+row-index maps for the scatter/gather levels —
 costs as much as the GEMMs.  :class:`ServingPlan` computes all of it
 once per ``(m, n, dtype, policy)`` and the per-batch path touches only
 arrays.  The input staging buffer is pooled on the plan (the server's
@@ -34,7 +35,7 @@ import numpy as np
 from repro.core.tree import batch_level, build_tree
 from repro.core.tsqr import level0_rows, row_blocks
 from repro.runtime.policy import ExecutionPolicy
-from repro.smallblas.wy import apply_wy, geqr2_wy
+from repro.smallblas.wy import apply_wy, block_qr
 
 __all__ = ["ServingPlan", "stacked_qr"]
 
@@ -46,19 +47,10 @@ __all__ = ["ServingPlan", "stacked_qr"]
 SERVING_CHUNK_ELEMS = 1 << 19
 
 
-def _r_from_h(h, kk, rmask):
-    """Upper-triangular ``(b, kk, pw)`` R block from the raw packed factor."""
-    Rt = h[:, :, :kk].transpose(0, 2, 1)
-    return np.where(rmask, Rt, 0.0)
-
-
 class _PanelPlan:
-    """Shape-only metadata for one panel's TSQR: blocks, tree, masks."""
+    """Shape-only metadata for one panel's TSQR: blocks, tree, row maps."""
 
-    __slots__ = (
-        "c0", "pw", "r0", "hp", "ranges", "l0", "eff_h", "tail_se",
-        "k0", "vmask0", "rmask0", "vmask_tail", "rmask_tail", "levels",
-    )
+    __slots__ = ("c0", "pw", "r0", "hp", "ranges", "l0", "eff_h", "tail_se", "k0", "levels")
 
     def __init__(self, c0: int, pw: int, hp: int, block_rows: int, tree_shape: str):
         self.c0, self.pw, self.r0, self.hp = c0, pw, c0, hp
@@ -71,16 +63,9 @@ class _PanelPlan:
         self.eff_h = hp if nb == 1 else bh
         self.tail_se = self.ranges[-1] if ragged else None
         self.k0 = min(self.eff_h, pw)
-        self.vmask0 = np.tri(self.eff_h, self.k0, -1, dtype=bool)
-        self.rmask0 = ~np.tri(self.k0, pw, -1, dtype=bool)
-        self.vmask_tail = self.rmask_tail = None
-        if ragged:
-            kl = min(h_last, pw)
-            self.vmask_tail = np.tri(h_last, kl, -1, dtype=bool)
-            self.rmask_tail = ~np.tri(kl, pw, -1, dtype=bool)
         starts = [rg[0] for rg in self.ranges]
-        # The tree's group structure, gather maps and triangle masks are
-        # pure functions of the block heights — precompute every level.
+        # The tree's group structure and gather maps are pure functions
+        # of the block heights — precompute every level.
         heights = {
             i: min(e - s, pw) for i, (s, e) in enumerate(self.ranges)
         }
@@ -107,11 +92,7 @@ class _PanelPlan:
                 for h in sig:
                     offs.append((pos, pos + h))
                     pos += h
-                entries.append((
-                    groups, offs, len(groups), H, kt, rowidx,
-                    np.tri(H, kt, -1, dtype=bool),
-                    ~np.tri(kt, pw, -1, dtype=bool),
-                ))
+                entries.append((groups, offs, len(groups), H, kt, rowidx))
                 for grp in groups:
                     heights[grp[0]] = kt
                     for dead in grp[1:]:
@@ -201,30 +182,26 @@ def _factor_panel(panel, pp: _PanelPlan, r: int) -> dict:
         # A strided view whenever the (requests, blocks) axes merge
         # cleanly; np.linalg.qr copies internally either way.
         batch0 = panel[:, : pp.l0 * pp.eff_h, :].reshape(r * pp.l0, pp.eff_h, pw)
-    V0, T0, h0 = geqr2_wy(batch0, pp.vmask0)
-    current = {}
-    R0 = _r_from_h(h0, pp.k0, pp.rmask0).reshape(r, pp.l0, pp.k0, pw)
-    for i in range(pp.l0):
-        current[i] = R0[:, i]
+    qr0 = block_qr(batch0)
+    R0 = qr0.R.reshape(r, pp.l0, pp.k0, pw)
+    current = {i: R0[:, i] for i in range(pp.l0)}
     tail = None
     if pp.tail_se is not None:
         s, e = pp.tail_se
-        Vl, Tl, hl = geqr2_wy(panel[:, s:e, :], pp.vmask_tail)
-        current[len(pp.ranges) - 1] = _r_from_h(
-            hl, pp.vmask_tail.shape[1], pp.rmask_tail
-        )
-        tail = (s, e - s, Vl, Tl)
+        qrl = block_qr(panel[:, s:e, :])
+        current[len(pp.ranges) - 1] = qrl.R
+        tail = (s, e - s, qrl.V, qrl.T)
     levels = []
     for entries in pp.levels:
         lvl = []
-        for groups, offs, g, H, kt, rowidx, vmask, rmask in entries:
+        for groups, offs, g, H, kt, rowidx in entries:
             stacked = np.empty((r, g, H, pw), dtype=panel.dtype)
             for gi, grp in enumerate(groups):
                 for i, (o0, o1) in zip(grp, offs):
                     stacked[:, gi, o0:o1] = current[i]
-            Vt, Tt, ht = geqr2_wy(stacked.reshape(r * g, H, pw), vmask)
-            Rt = _r_from_h(ht, kt, rmask).reshape(r, g, kt, pw)
-            lvl.append((rowidx, Vt, Tt, g))
+            qrt = block_qr(stacked.reshape(r * g, H, pw))
+            Rt = qrt.R.reshape(r, g, kt, pw)
+            lvl.append((rowidx, qrt.V, qrt.T, g))
             for gi, grp in enumerate(groups):
                 current[grp[0]] = Rt[:, gi]
                 for dead in grp[1:]:
@@ -236,7 +213,7 @@ def _factor_panel(panel, pp: _PanelPlan, r: int) -> dict:
     if Rtop.shape[1] < kk:
         pad = np.zeros((r, kk - Rtop.shape[1], pw), dtype=Rtop.dtype)
         Rtop = np.concatenate([Rtop, pad], axis=1)
-    return {"l0": (pp.l0, pp.eff_h, V0, T0), "tail": tail, "levels": levels,
+    return {"l0": (pp.l0, pp.eff_h, qr0.V, qr0.T), "tail": tail, "levels": levels,
             "R": Rtop[:, :kk]}
 
 

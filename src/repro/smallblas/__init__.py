@@ -1,8 +1,9 @@
 """Batched small dense kernels (the "batched LAPACK" the paper hand-rolled).
 
 :mod:`.batched` holds the seed einsum kernels (the reference
-implementations); :mod:`.wy` holds the GEMM-based compact-WY kernels the
-batched execution path runs on; :mod:`.gram` holds the BLAS3 Gram /
+implementations); :mod:`.wy` holds the level-0 Householder kernel
+(:func:`.wy.block_qr`) and the GEMM-based compact-WY kernels the batched
+execution path runs on; :mod:`.gram` holds the BLAS3 Gram /
 triangular-multiply kernels behind the CholeskyQR2 fast paths.
 """
 
@@ -22,7 +23,7 @@ from .batched import (
     batched_house,
     batched_larft,
 )
-from .wy import apply_wy, extract_v, geqr2_blocked, larft, wy_factors
+from .wy import BlockQR, apply_wy, block_qr, extract_v, larft, wy_factors
 
 __all__ = [
     "batched_apply_blocked",
@@ -33,8 +34,9 @@ __all__ = [
     "batched_house",
     "batched_larft",
     "apply_wy",
+    "BlockQR",
+    "block_qr",
     "extract_v",
-    "geqr2_blocked",
     "larft",
     "wy_factors",
     "HAVE_BLAS3",

@@ -1,20 +1,24 @@
 """Compact-WY (BLAS3) batched kernels — the fast path of the real-time CAQR.
 
-The seed library in :mod:`repro.smallblas.batched` vectorizes the small
-QRs across a batch but formulates every contraction as ``np.einsum``,
-which NumPy evaluates with its own C loop instead of BLAS.  At paper
-scale (thousands of 64x16 blocks per panel) the batched matmuls below
-run roughly an order of magnitude faster because ``np.matmul`` dispatches
-each batch slice to a GEMM microkernel, and because the blocked
-factorization produces the ``V`` and ``T`` factors of ``Q = I - V T V^T``
-as byproducts, so trailing updates and repeated Q applications never
-rebuild them.
+:func:`block_qr` is the one Householder QR kernel of the host engines:
+TSQR and the CAQR panels, ``plan_qr``, the look-ahead executor and the
+serving coalescer factor every level-0 block and every tree node through
+it, so their R factors are bit-identical.  It returns the ``R``, ``V``
+and ``T`` of ``Q = I - V T V^T`` for a ``(batch, h, w)`` stack and picks
+its implementation from the block shape alone (:func:`geqrt_side`):
+LAPACK ``geqrt`` per block for tall blocks with enough work, which
+builds ``T`` as it goes, or the stacked-QR gufunc plus :func:`larft` for
+many tiny blocks such as the paper's 64x16, where one C loop over the
+batch beats a Python-level call per block.
 
-Everything here accepts strided views (e.g. a trailing-matrix slice
-reshaped into ``(blocks, block_rows, width)`` without a copy) — GEMM
-handles the leading-dimension strides natively, which is what lets the
-level-0 update of :mod:`repro.core.tsqr` run with no gather/scatter
-copies at all.
+:func:`apply_wy` applies the factors: three batched GEMMs per tile
+(``np.matmul`` dispatches each batch slice to a GEMM microkernel,
+roughly an order of magnitude faster than the seed's ``np.einsum``
+contractions in :mod:`repro.smallblas.batched`).  Everything here
+accepts strided views (e.g. a trailing-matrix slice reshaped into
+``(blocks, block_rows, width)`` without a copy) — GEMM handles the
+leading-dimension strides natively, which is what lets the level-0
+update of :mod:`repro.core.tsqr` run with no gather/scatter copies.
 
 The seed einsum kernels are kept untouched as the reference
 implementations; these routines are tested against them block by block.
@@ -22,9 +26,11 @@ implementations; these routines are tested against them block by block.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
+from scipy.linalg import lapack as _lapack
 
 from repro.core.dtypes import working_dtype
 
@@ -32,9 +38,11 @@ __all__ = [
     "extract_v",
     "larft",
     "apply_wy",
-    "geqr2_blocked",
-    "geqr2_wy",
     "wy_factors",
+    "GEQRT_MIN_WORK",
+    "geqrt_side",
+    "BlockQR",
+    "block_qr",
 ]
 
 # One flat scratch allocation per dtype, grown to the high-water mark and
@@ -59,17 +67,29 @@ def _scratch(count: int, dtype: np.dtype) -> np.ndarray:
     return buf
 
 
+@functools.lru_cache(maxsize=64)
+def _tri_mask(m: int, k: int, upper: bool) -> np.ndarray:
+    """Cached ``(m, k)`` strict-lower (or upper-with-diagonal) mask."""
+    mask = np.tri(m, k, -1, dtype=bool)
+    if upper:
+        mask = ~mask
+    mask.flags.writeable = False
+    return mask
+
+
 def extract_v(VR: np.ndarray, k: int | None = None) -> np.ndarray:
     """Unit-lower-trapezoidal ``V`` from a packed ``(batch, m, n)`` stack.
 
     Equivalent to the reference ``_extract_v_batch`` but done with one
     boolean-mask pass instead of ``np.tril`` + diagonal fill per call.
+    ``V`` is C-contiguous whatever the layout of ``VR``, so the GEMMs
+    that read it (and their rounding) do not depend on that layout.
     """
     b, m, n = VR.shape
     if k is None:
         k = min(m, n)
-    mask = np.tri(m, k, -1, dtype=bool)
-    V = np.where(mask, VR[:, :, :k], 0.0)
+    V = np.zeros((b, m, k), dtype=VR.dtype)
+    np.copyto(V, VR[:, :, :k], where=_tri_mask(m, k, False))
     idx = np.arange(min(m, k))
     V[:, idx, idx] = 1.0
     return V
@@ -158,165 +178,122 @@ def wy_factors(VR: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return V, larft(V, tau)
 
 
-def geqr2_wy(
-    A: np.ndarray,
-    vmask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lean batched QR for stacked *independent* problems: ``(V, T, h)``.
+# Tall blocks whose h * w^2 (about half their Householder flops) is at
+# least this go through LAPACK geqrt one block at a time; smaller ones
+# through the stacked-QR gufunc.  Picked from the (h, w, dtype) sweep in
+# EXPERIMENTS.md ("One level-0 Householder kernel"): below it the
+# per-block call overhead dominates (the paper's 64x16 blocks are 4x
+# below it); above it geqrt's recursive QR, with T built in, is up to 5x
+# faster (2x at the RPCA matrix's 1600x100 blocks).
+GEQRT_MIN_WORK = 1 << 16
 
-    The same arithmetic as the float path of :func:`geqr2_blocked` — the
-    stacked-QR gufunc per slice, :func:`larft` for ``T`` — minus the
-    materialization of the full contiguous packed factor, which the
-    serving coalescer (:mod:`repro.serving`) never reads: it extracts
-    ``V`` and the triangular ``R`` block straight from the LAPACK output
-    ``h`` through strided views.  Because every contraction is computed
-    per batch slice, stacking independent same-shape matrices along the
-    batch axis produces factors bit-identical to factoring each matrix
-    alone — that is the property the request coalescer is built on.
 
-    Args:
-        A: ``(batch, m, n)`` stack, float32/float64 (the only dtypes the
-            gufunc fast path covers; other dtypes belong in
-            :func:`geqr2_blocked`).
-        vmask: optional precomputed ``np.tri(m, k, -1, bool)`` strict
-            lower-trapezoid mask; per-shape callers cache it.
+def geqrt_side(h: int, w: int) -> bool:
+    """Whether :func:`block_qr` factors ``h x w`` blocks with LAPACK geqrt.
 
-    Returns:
-        ``(V, T, h)``: the unit-lower-trapezoidal reflectors ``(batch,
-        m, k)``, the block-reflector ``T`` ``(batch, k, k)``, and the raw
-        ``(batch, n, m)`` packed factor from ``np.linalg.qr(mode="raw")``
-        (rows of ``h`` are columns of VR; ``R`` is its upper ``k x n``
-        corner, transposed).
+    A function of the block shape alone — never of the batch count — so
+    stacking independent problems (the serving coalescer) or splitting a
+    panel differently across engines cannot change which kernel, and so
+    which bits, a block gets.
     """
-    if A.ndim != 3:
-        raise ValueError("A must be a (batch, m, n) stack")
-    if A.dtype not in (np.float32, np.float64):
-        raise TypeError(
-            f"geqr2_wy covers the gufunc fast path (float32/float64) only, "
-            f"got {A.dtype}; use geqr2_blocked"
-        )
-    b, m, n = A.shape
-    k = min(m, n)
-    h, tau = np.linalg.qr(A, mode="raw")
-    if vmask is None:
-        vmask = np.tri(m, k, -1, dtype=bool)
-    VRk = h[:, :k, :].transpose(0, 2, 1)
-    V = np.where(vmask, VRk, 0.0)
-    idx = np.arange(k)
-    V[:, idx, idx] = 1.0
-    return V, larft(V, tau), h
+    return h >= w and h * w * w >= GEQRT_MIN_WORK
 
 
-def geqr2_blocked(
-    A: np.ndarray,
-    ib: int = 8,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Blocked batched QR returning the compact-WY factors as byproducts.
+class BlockQR:
+    """Householder QR of every slice of a ``(batch, h, w)`` stack.
 
-    Factors a ``(batch, m, n)`` stack right-looking in column sub-blocks
-    of width ``ib`` — the batched ``sgeqrf`` to the seed's batched
-    ``sgeqr2``.  The whole panel is staged through one transposed
-    ``(batch, n, m)`` scratch so every column the inner reflector loop
-    touches is a contiguous row; reflector vectors are normalized in
-    place (no per-column copies), and each sub-block's trailing update is
-    three batched GEMMs executed directly in the transposed layout.
+    Slice ``b`` factors as ``A_b = (I - V_b T_b V_b^T) [R_b; 0]`` with
+    ``k = min(h, w)``: ``R`` is ``(batch, k, w)`` upper trapezoidal,
+    ``V`` the ``(batch, h, k)`` unit-lower-trapezoidal reflectors, ``T``
+    the ``(batch, k, k)`` block reflectors and ``tau = diag(T)``.  On the
+    gufunc side ``V`` and ``T`` are assembled from the raw LAPACK output
+    on first read, so a factor that is never applied never pays for
+    them; :meth:`packed` gives LAPACK's ``(batch, h, w)`` packed layout
+    on either side (built on first call where it is not already there).
+    """
 
-    Returns:
-        ``(VR, tau, V, T)``: the packed factor and coefficients exactly as
-        :func:`repro.smallblas.batched.batched_geqr2` lays them out (up to
-        roundoff in the trailing updates), plus the assembled ``(batch,
-        m, k)`` reflectors and ``(batch, k, k)`` block-reflector T with
-        ``Q_b = I - V_b T_b V_b^T``.
+    __slots__ = ("R", "tau", "_V", "_T", "_packed")
+
+    def __init__(self, R, tau, V=None, T=None, packed=None):
+        self.R, self.tau = R, tau
+        self._V, self._T, self._packed = V, T, packed
+
+    def _wy(self) -> None:
+        V = extract_v(self._packed, self.tau.shape[1])
+        self._V, self._T = V, larft(V, self.tau)
+
+    @property
+    def V(self) -> np.ndarray:
+        if self._V is None:
+            self._wy()
+        return self._V
+
+    @property
+    def T(self) -> np.ndarray:
+        if self._T is None:
+            self._wy()
+        return self._T
+
+    def packed(self) -> np.ndarray:
+        """``(batch, h, w)``: ``R`` on and above the diagonal, ``V`` below."""
+        if self._packed is None:
+            VR = self._V.copy()
+            k = self.R.shape[1]
+            np.copyto(VR[:, :k, :], self.R, where=_tri_mask(k, VR.shape[2], True))
+            self._packed = VR
+        return self._packed
+
+
+def block_qr(A: np.ndarray) -> BlockQR:
+    """Householder QR of a ``(batch, h, w)`` stack: the one level-0 kernel.
+
+    Every host engine (TSQR and the CAQR panels, ``plan_qr``, the
+    look-ahead executor, the serving coalescer) factors its level-0
+    blocks and tree nodes here, so their R factors stay bit-identical.
+    The implementation is chosen by :func:`geqrt_side` from the block
+    shape alone:
+
+    * tall blocks with enough work run LAPACK ``geqrt`` (Elmroth-Gustavson
+      recursive QR) per block with ``nb = w``; it returns the whole
+      compact-WY ``T``, so no ``larft`` pass is needed.  Each block is
+      copied once into a Fortran-ordered slice of ``V`` and factored there
+      in place;
+    * everything else runs the stacked-QR gufunc
+      (``np.linalg.qr(mode="raw")``), one C loop over the batch, with
+      ``V``/``T`` built by :func:`larft` on first use.
+
+    Each slice is factored independently either way, so factoring a stack
+    is bitwise equal to factoring each slice alone.  ``A`` may be any
+    strided stack; it is never modified.
     """
     A = np.asarray(A)
     if A.ndim != 3:
         raise ValueError("A must be a (batch, m, n) stack")
     dt = working_dtype(A)
-    b, m, n = A.shape
-    k = min(m, n)
-    tau = np.zeros((b, k), dtype=dt)
+    b, h, w = A.shape
+    k = min(h, w)
     if k == 0:
-        VR = np.array(A, dtype=dt, copy=True)
-        return VR, tau, np.zeros((b, m, 0), dtype=dt), np.zeros((b, 0, 0), dtype=dt)
-    if dt in (np.float32, np.float64):
-        # LAPACK geqrf through the stacked-QR gufunc: the whole batch is
-        # factored in one C loop with no per-column Python dispatch.
-        # dlarfg uses the same reflector convention as the reference
-        # batched_house (beta = -sign(alpha)|x|, tau = (beta-alpha)/beta,
-        # tau = 0 for already-reduced columns), so the packed factor is
-        # interchangeable with batched_geqr2 output up to roundoff.
-        h, tau = np.linalg.qr(np.asarray(A, dtype=dt), mode="raw")
-        VR = np.ascontiguousarray(h.transpose(0, 2, 1))
-        V = extract_v(VR)
-        return VR, tau, V, larft(V, tau)
-    # .copy() (not ascontiguousarray) — a size-1 axis can make the
-    # transposed view already contiguous, and the input must not be
-    # mutated by the in-place reflector loop below.
-    St = np.asarray(A, dtype=dt).transpose(0, 2, 1).copy()  # (b, n, m)
-    ib = max(1, min(ib, k))
-    starts = list(range(0, k, ib))
-    V = np.zeros((b, m, k), dtype=dt)
-    sub_T: list[np.ndarray] = []
-    for j0 in starts:
-        j1 = min(j0 + ib, k)
-        w = j1 - j0
-        # Unblocked reflector loop on columns j0:j1 (St rows), rows j0:.
-        # Same arithmetic as the reference batched_house/batched_geqr2,
-        # inlined: v_rest overwrites the column storage directly and the
-        # rank-1 trailing update touches at most `w` columns.
-        for i in range(w):
-            c = j0 + i  # global column index == pivot row index
-            row = St[:, c, c:]  # (b, m - c), contiguous
-            if row.shape[1] == 1:
-                continue  # length-1 vector: tau = 0, beta = alpha
-            alpha = row[:, 0].copy()
-            rest = row[:, 1:]
-            sigma = np.einsum("bi,bi->b", rest, rest)
-            norm_x = np.sqrt(alpha * alpha + sigma)
-            beta = -np.copysign(norm_x, alpha)
-            active = sigma != 0.0
-            denom = np.where(active, alpha - beta, 1.0)
-            rest /= denom[:, None]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                t = np.where(
-                    active, (beta - alpha) / np.where(beta == 0.0, 1.0, beta), 0.0
-                )
-            tau[:, c] = t
-            row[:, 0] = np.where(active, beta, alpha)
-            if i + 1 < w:
-                # C_j -= t (C_j . v) v for the sub-block's remaining
-                # columns, with v = [1, rest] never materialized.
-                Ct = St[:, c + 1 : j1, c:]  # (b, w - i - 1, m - c)
-                c0 = Ct[:, :, 0]
-                cv = c0 + np.matmul(Ct[:, :, 1:], rest[:, :, None])[:, :, 0]
-                s = t[:, None] * cv
-                c0 -= s
-                Ct[:, :, 1:] -= s[:, :, None] * rest[:, None, :]
-        # Assemble the sub-block's unit-lower V and its T.
-        Vb = V[:, j0:, j0:j1]
-        for i in range(w):
-            c = j0 + i
-            Vb[:, i, i] = 1.0
-            Vb[:, i + 1 :, i] = St[:, c, c + 1 :]
-        Tb = larft(np.ascontiguousarray(Vb), tau[:, j0:j1])
-        sub_T.append(Tb)
-        if j1 < n:
-            # Trailing update in the transposed layout:
-            # C <- (I - V T' V^T) C  ==>  Ct <- Ct - ((Ct V) T) V^T.
-            Ct = St[:, j1:, j0:]  # (b, n - j1, m - j0)
-            W1 = np.matmul(Ct, Vb)
-            W2 = np.matmul(W1, Tb)
-            prod = _scratch(Ct.size, dt)[: Ct.size].reshape(Ct.shape)
-            np.matmul(W2, Vb.transpose(0, 2, 1), out=prod)
-            Ct -= prod
-    VR = np.ascontiguousarray(St.transpose(0, 2, 1))
-    T = np.zeros((b, k, k), dtype=dt)
-    T[:, : min(ib, k), : min(ib, k)] = sub_T[0]
-    for bi, i0 in enumerate(starts[1:], start=1):
-        i1 = min(i0 + ib, k)
-        T[:, i0:i1, i0:i1] = sub_T[bi]
-        # Prefix merge: T[:i0, i0:i1] = -T[:i0, :i0] (V_pref^T V_blk) T_blk,
-        # contracted over the block's row support (zero above row i0).
-        cross = np.matmul(V[:, i0:, :i0].transpose(0, 2, 1), V[:, i0:, i0:i1])
-        T[:, :i0, i0:i1] = -np.matmul(np.matmul(T[:, :i0, :i0], cross), sub_T[bi])
-    return VR, tau, V, T
+        return BlockQR(
+            np.zeros((b, 0, w), dt),
+            np.zeros((b, 0), dt),
+            V=np.zeros((b, h, 0), dt),
+            T=np.zeros((b, 0, 0), dt),
+            packed=np.array(A, dtype=dt, copy=True),
+        )
+    if not geqrt_side(h, w):
+        raw, tau = np.linalg.qr(np.asarray(A, dtype=dt), mode="raw")
+        VR = raw.transpose(0, 2, 1)
+        return BlockQR(np.triu(VR[:, :k, :]), tau, packed=VR)
+    geqrt = _lapack.dgeqrt if dt == np.float64 else _lapack.sgeqrt
+    V = np.empty((b, w, h), dtype=dt).transpose(0, 2, 1)
+    T = np.empty((b, w, w), dtype=dt)
+    for i in range(b):
+        Vi = V[i]  # Fortran-ordered: geqrt overwrites it in place
+        Vi[...] = A[i]
+        _, T[i], _ = geqrt(w, Vi, overwrite_a=1)
+    top = V[:, :w, :]
+    upper = _tri_mask(w, w, True)
+    R = np.zeros((b, w, w), dtype=dt)
+    np.copyto(R, top, where=upper)
+    np.copyto(top, np.eye(w, dtype=dt), where=upper)
+    return BlockQR(R, np.diagonal(T, axis1=1, axis2=2), V=V, T=T)

@@ -384,6 +384,17 @@ CORE_VARIANTS: tuple[tuple[str, str, str, int, int, str], ...] = (
     ("float32", "C", "tiny", 4, 16, "binary"),
 )
 
+# (m, n, dtype, order, kind, panel_width, block_rows, tree_shape): cases
+# on the geqrt side of the level-0 kernel (repro.smallblas.wy.geqrt_side),
+# which the grid above never reaches.  block_rows < panel_width gives
+# 512x32 level-0 blocks (16 * width), a 76-row ragged tail and 96x32 tree
+# nodes, all on the geqrt side; the last 8-wide panel stays on the gufunc.
+GEQRT_CASES: tuple[tuple[int, int, str, str, str, int, int, str], ...] = (
+    (1100, 40, "float64", "C", "gauss", 32, 16, "quad"),
+    (1100, 40, "float32", "C", "huge", 32, 16, "quad"),
+    (1100, 40, "float32", "C", "tiny", 32, 16, "quad"),
+)
+
 _RANDOM_AXES = {
     "dtype": ("float64", "float32"),
     "order": ("C", "F", "strided"),
@@ -406,6 +417,11 @@ def generate_cases(seed: int = 0, n_random: int = 60, quick: bool = False) -> li
                  tree_shape=tree, seed=seed)
         for m, n in CORE_SHAPES
         for dt, order, kind, pw, bh, tree in CORE_VARIANTS
+    ]
+    cases += [
+        FuzzCase(m, n, dtype=dt, order=order, kind=kind, panel_width=pw, block_rows=bh,
+                 tree_shape=tree, seed=seed)
+        for m, n, dt, order, kind, pw, bh, tree in GEQRT_CASES
     ]
     if quick:
         return cases

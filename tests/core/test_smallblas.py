@@ -257,52 +257,46 @@ class TestCompactWY:
         apply_wy(V, T, tiles)
         assert np.allclose(B.reshape(6, 16, 5), ref, atol=1e-11)
 
-    def test_geqr2_blocked_matches_reference(self, rng):
-        from repro.smallblas.wy import geqr2_blocked
+    def test_block_qr_matches_reference(self, rng):
+        from repro.smallblas.wy import block_qr, geqrt_side
 
-        for shape, ib in [
-            ((7, 20, 11), 4),
-            ((3, 6, 10), 4),  # wide
-            ((5, 64, 16), 8),
-            ((1, 8, 8), 3),
-            ((4, 1, 3), 2),  # single row
-            ((2, 9, 1), 4),  # single column
-            ((2, 5, 5), 1),
-        ]:
+        shapes = [(7, 20, 11), (3, 6, 10), (5, 64, 16), (1, 8, 8), (4, 1, 3), (2, 9, 1), (2, 5, 5)]
+        shapes.append((3, 512, 32))  # geqrt side
+        assert geqrt_side(512, 32) and not geqrt_side(64, 16)
+        for shape in shapes:
             A = rng.standard_normal(shape)
             if shape[1] > 2 and shape[0] > 1:
                 A[0, 1:, 0] = 0.0  # already-reduced column
                 A[1, :, :] = 0.0  # fully zero block
             A0 = A.copy()
-            VR, tau, V, T = geqr2_blocked(A, ib=ib)
+            qr = block_qr(A)
             assert np.array_equal(A, A0), "input must not be mutated"
             VR0, tau0 = batched_geqr2(A)
-            assert np.allclose(VR, VR0, atol=1e-11), shape
-            assert np.allclose(tau, tau0, atol=1e-11), shape
+            assert np.allclose(qr.packed(), VR0, atol=1e-11), shape
+            assert np.allclose(qr.tau, tau0, atol=1e-11), shape
 
-    def test_geqr2_blocked_wy_reconstructs(self, rng):
-        from repro.smallblas.wy import apply_wy, geqr2_blocked
+    def test_block_qr_wy_reconstructs(self, rng):
+        from repro.smallblas.wy import apply_wy, block_qr
 
-        b, m, n = 5, 24, 9
-        A = rng.standard_normal((b, m, n))
-        VR, tau, V, T = geqr2_blocked(A, ib=4)
-        QR = np.concatenate(
-            [np.triu(VR[:, :n, :]), np.zeros((b, m - n, n))], axis=1
-        )
-        apply_wy(V, T, QR, transpose=False)  # Q @ [R; 0] == A
-        assert np.allclose(QR, A, atol=1e-11)
+        for b, m, n in [(5, 24, 9), (3, 1024, 64)]:
+            A = rng.standard_normal((b, m, n))
+            qr = block_qr(A)
+            QR = np.concatenate([qr.R, np.zeros((b, m - n, n))], axis=1)
+            apply_wy(qr.V, qr.T, QR, transpose=False)  # Q @ [R; 0] == A
+            assert np.allclose(QR, A, atol=1e-11)
 
-    def test_geqr2_blocked_float32(self, rng):
-        from repro.smallblas.wy import geqr2_blocked
+    def test_block_qr_float32(self, rng):
+        from repro.smallblas.wy import block_qr
 
-        A = rng.standard_normal((4, 32, 8)).astype(np.float32)
-        VR, tau, V, T = geqr2_blocked(A)
-        assert VR.dtype == tau.dtype == V.dtype == T.dtype == np.float32
-        VR0, tau0 = batched_geqr2(A)
-        assert np.allclose(VR, VR0, atol=1e-4)
+        for shape in [(4, 32, 8), (2, 1024, 64)]:
+            A = rng.standard_normal(shape).astype(np.float32)
+            qr = block_qr(A)
+            assert qr.packed().dtype == qr.tau.dtype == qr.V.dtype == qr.T.dtype == np.float32
+            VR0, tau0 = batched_geqr2(A)
+            assert np.allclose(qr.packed(), VR0, atol=1e-4)
 
-    def test_geqr2_blocked_rejects_bad_shape(self):
-        from repro.smallblas.wy import geqr2_blocked
+    def test_block_qr_rejects_bad_shape(self):
+        from repro.smallblas.wy import block_qr
 
         with np.testing.assert_raises(ValueError):
-            geqr2_blocked(np.zeros((4, 5)))
+            block_qr(np.zeros((4, 5)))

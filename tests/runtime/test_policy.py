@@ -139,6 +139,18 @@ class TestEntryPointShims:
         np.testing.assert_array_equal(Q1, Q2)
         np.testing.assert_array_equal(R1, R2)
 
+    @pytest.mark.parametrize(
+        "name,kw", [("caqr_qr", {"lookahead": True}), ("tsqr_qr", {"batched": False})]
+    )
+    def test_wrapper_warns_at_callers_line(self, rng, name, kw):
+        import repro.core
+
+        fn = getattr(repro.core, name)
+        with pytest.warns(DeprecationWarning) as record:
+            fn(rng.standard_normal((64, 8)), **kw)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
     def test_tsqr_legacy_warns(self, rng):
         from repro.core.tsqr import tsqr
 
