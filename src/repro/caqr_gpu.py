@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .core.caqr import CAQRFactors, caqr
-from .runtime.policy import UNSET, ExecutionPolicy, resolve_policy
+from .runtime.policy import ExecutionPolicy
 from .core.householder import qr_flops
 from .core.tree import build_tree
 from .core.tsqr import row_blocks
@@ -412,11 +412,8 @@ def caqr_gpu_factor(
     A: np.ndarray,
     cfg: KernelConfig = REFERENCE_CONFIG,
     dev: DeviceSpec = C2050,
-    batched: bool = UNSET,
-    lookahead: bool = UNSET,
-    workers: int | None = UNSET,
+    *,
     streams: int | None = None,
-    nonfinite: str = UNSET,
     policy: ExecutionPolicy | None = None,
 ) -> tuple[CAQRFactors, CAQRGpuResult]:
     """Execute CAQR numerically *and* produce its simulated GPU timeline.
@@ -424,30 +421,19 @@ def caqr_gpu_factor(
     The factor structure (panel row-blocking and reduction-tree schedule)
     is built by the same :mod:`repro.core` helpers the launch enumerator
     uses, so the counts agree by construction; a structural-parity test
-    pins this.  The numeric execution strategy comes from ``policy`` (or
-    the deprecated ``batched``/``lookahead``/``workers``/``nonfinite``
-    shims); the panel geometry always follows ``cfg``, keeping numerics
-    and modeled timeline on the same schedule.  ``streams`` attaches the
-    modeled multi-stream overlap to the result.  The serial simulated
+    pins this.  The numeric execution strategy comes from ``policy``
+    (``None`` means the batched path, or the structured one when
+    ``cfg.structured_tree``); the panel geometry always follows ``cfg``,
+    keeping numerics and modeled timeline on the same schedule.
+    ``streams`` attaches the modeled multi-stream overlap to the result.  The serial simulated
     timeline depends purely on shapes and is identical in every mode.
     """
-    default = ExecutionPolicy(
-        path="structured" if cfg.structured_tree else "batched",
-        panel_width=cfg.panel_width,
-        block_rows=cfg.block_rows,
-        tree_shape=cfg.tree_shape,
-        device=dev,
-        config=cfg,
-    )
-    policy = resolve_policy(
-        "caqr_gpu_factor",
-        policy,
-        batched=batched,
-        lookahead=lookahead,
-        workers=workers,
-        nonfinite=nonfinite,
-        default=default,
-    )
+    if policy is None:
+        policy = ExecutionPolicy(
+            path="structured" if cfg.structured_tree else "batched",
+            device=dev,
+            config=cfg,
+        )
     # The timeline below is enumerated from ``cfg``; pin the numeric
     # geometry to it so both always run the same schedule.
     policy = replace(

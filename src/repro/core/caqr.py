@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import tracer as _obs
-from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.runtime.policy import ExecutionPolicy
 from repro.verify.guards import validate_matrix
 
 from .dtypes import as_float_array, working_dtype
@@ -134,62 +134,30 @@ def _caqr_serial(A: np.ndarray, policy: ExecutionPolicy) -> CAQRFactors:
 
 def caqr(
     A: np.ndarray,
-    panel_width: int = UNSET,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    structured: bool = UNSET,
-    batched: bool = UNSET,
-    lookahead: bool = UNSET,
-    workers: int | None = UNSET,
-    nonfinite: str = UNSET,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> CAQRFactors:
     """Factor a matrix with CAQR (Figure 3 / the host pseudocode of Figure 4).
 
-    Prefer ``policy=`` (an :class:`~repro.runtime.policy.ExecutionPolicy`
-    naming the execution path, geometry, worker count and guard
-    behaviour); reusable shape plans come from
-    :func:`repro.runtime.plan.plan_qr`.  The loose kwargs remain as
-    deprecation shims mapped by
-    :func:`~repro.runtime.policy.resolve_policy`:
+    Reusable shape plans come from :func:`repro.runtime.plan.plan_qr`.
 
     Args:
         A: ``m x n`` matrix.
-        panel_width: width of each column panel (the paper's reference GPU
-            configuration uses 16, matching the 64x16 block).
-        block_rows: height of the level-0 row blocks within each panel.
-        tree_shape: TSQR reduction-tree shape (paper: quad-tree on the GPU).
-        structured: (deprecated) maps to ``path="structured"``.
-        batched: (deprecated) ``False`` maps to the seed reference path.
-        lookahead: (deprecated) maps to ``path="lookahead"`` — the
+        policy: the :class:`~repro.runtime.policy.ExecutionPolicy` naming
+            the execution path, panel geometry (the paper's reference GPU
+            configuration is 64x16 blocks on a quad-tree), worker count
+            and non-finite guard behaviour; ``None`` means
+            ``ExecutionPolicy()``.  ``path="lookahead"`` runs the
             dependency-task-graph executor
-            (:func:`repro.graph.executor.caqr_lookahead`); returns a
+            (:func:`repro.graph.executor.caqr_lookahead`) and returns a
             duck-type-compatible
             :class:`~repro.graph.executor.LookaheadCAQRFactors`.
-        workers: (deprecated) column tiles per trailing update /
-            thread-pool width; > 1 implies the look-ahead path.
-        nonfinite: (deprecated) non-finite input policy (``"raise"``
-            rejects NaN/Inf; ``"propagate"`` lets them flow through).
-        policy: the execution policy; mutually exclusive with the legacy
-            kwargs above.
 
     Returns:
         :class:`CAQRFactors` with the implicit Q (per-panel TSQR factors)
         and the explicit upper-trapezoidal R.
     """
-    policy = resolve_policy(
-        "caqr",
-        policy,
-        batched=batched,
-        structured=structured,
-        lookahead=lookahead,
-        workers=workers,
-        nonfinite=nonfinite,
-        panel_width=panel_width,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
+    policy = policy if policy is not None else ExecutionPolicy()
     if policy.path == "lookahead":
         from repro.graph.executor import caqr_lookahead
 
@@ -229,31 +197,9 @@ def caqr(
 
 def caqr_qr(
     A: np.ndarray,
-    panel_width: int = UNSET,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    structured: bool = UNSET,
-    batched: bool = UNSET,
-    lookahead: bool = UNSET,
-    workers: int | None = UNSET,
-    nonfinite: str = UNSET,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convenience: explicit thin ``(Q, R)`` via CAQR."""
-    # Resolved here, not in caqr(), so a legacy-kwarg warning names the
-    # caller's line rather than this one.
-    policy = resolve_policy(
-        "caqr",
-        policy,
-        batched=batched,
-        structured=structured,
-        lookahead=lookahead,
-        workers=workers,
-        nonfinite=nonfinite,
-        panel_width=panel_width,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
     f = caqr(A, policy=policy)
     return f.form_q(), f.R

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.runtime.policy import ExecutionPolicy
+
 from .caqr import caqr
 from .triangular import solve_upper
 from .tsqr import tsqr
@@ -33,7 +35,8 @@ def _solve_from_factors(factors, b: np.ndarray) -> np.ndarray:
 
 def lstsq_tsqr(A: np.ndarray, b: np.ndarray, block_rows: int = 64, tree_shape: str = "quad") -> np.ndarray:
     """Solve ``min ||A x - b||_2`` using a TSQR factorization of A."""
-    return _solve_from_factors(tsqr(A, block_rows=block_rows, tree_shape=tree_shape), b)
+    policy = ExecutionPolicy(block_rows=block_rows, tree_shape=tree_shape)
+    return _solve_from_factors(tsqr(A, policy=policy), b)
 
 
 def lstsq_caqr(
@@ -44,8 +47,10 @@ def lstsq_caqr(
     tree_shape: str = "quad",
 ) -> np.ndarray:
     """Solve ``min ||A x - b||_2`` using a CAQR factorization of A."""
-    f = caqr(A, panel_width=panel_width, block_rows=block_rows, tree_shape=tree_shape)
-    return _solve_from_factors(f, b)
+    policy = ExecutionPolicy(
+        panel_width=panel_width, block_rows=block_rows, tree_shape=tree_shape
+    )
+    return _solve_from_factors(caqr(A, policy=policy), b)
 
 
 def residual_norm(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:

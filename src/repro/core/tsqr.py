@@ -9,7 +9,7 @@ from which Q or Q^T can be applied, or the explicit thin Q formed.
 
 Two numeric execution strategies coexist:
 
-``batched=True`` (default)
+``path="batched"`` (default)
     The whole hot path is vectorized.  Level 0 is factored as one
     ``(blocks, block_rows, n)`` batch (a zero-copy reshape; a ragged last
     block is a batch of one at its exact height), and every tree level
@@ -25,7 +25,7 @@ Two numeric execution strategies coexist:
     rank-1 updates.  ``form_q`` skips the rows of ``[I; 0]`` it knows are
     still zero when it reaches level 0 (:func:`_form_q_level0`).
 
-``batched=False``
+``path="seed"``
     The seed per-node reference path, kept verbatim: per-block loops,
     ``np.vstack`` gathers and BLAS2 reflector sweeps.  It is the
     correctness oracle for the property tests and the baseline the
@@ -56,7 +56,7 @@ import numpy as np
 from .dtypes import as_float_array, working_dtype
 from .householder import geqr2, orm2r
 from repro.obs import tracer as _obs
-from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_policy
+from repro.runtime.policy import ExecutionPolicy
 from repro.smallblas.batched import batched_apply_blocked, batched_geqr2
 from repro.smallblas.wy import BlockQR, _scratch, apply_wy, block_qr, wy_factors
 from .structured import StructuredStackFactor, structured_stack_qr
@@ -250,8 +250,8 @@ def _plan_from_factors(f: "TSQRFactors", dt: np.dtype) -> _WyPlan:
     """Build an apply plan from stored per-node factors.
 
     Used for factors that were not produced by the batched factorization
-    (loaded from disk via :mod:`repro.io`, or factored with
-    ``batched=False`` and then applied with ``batched=True``).
+    (loaded from disk via :mod:`repro.io`, or factored on the
+    ``path="seed"`` loop and then applied through the batched plan).
     """
     count, h = f._uniform_prefix()
     V0 = T0 = None
@@ -773,50 +773,28 @@ def _tsqr_impl(
 
 def tsqr(
     A: np.ndarray,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    structured: bool = UNSET,
-    batched: bool = UNSET,
-    nonfinite: str = UNSET,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> TSQRFactors:
     """Factor a tall-skinny matrix with TSQR (Figure 2).
 
-    Prefer ``policy=`` (an :class:`~repro.runtime.policy.ExecutionPolicy`
-    naming the execution path, geometry and guard behaviour).  The loose
-    kwargs remain as deprecation shims mapped by
-    :func:`~repro.runtime.policy.resolve_policy`:
-
     Args:
         A: ``m x n`` matrix (any aspect ratio is accepted; TSQR pays off
             for ``m >> n``).
-        block_rows: height of the level-0 row blocks.
-        tree_shape: reduction-tree shape (see :mod:`repro.core.tree`).
-        structured: (deprecated) eliminate the stacked Rs with the
-            sparsity-exploiting structured QR (~3x fewer tree flops);
-            maps to ``path="structured"``.
-        batched: (deprecated) vectorize the factorization and all later
-            Q applications; ``False`` maps to the seed reference path.
-        nonfinite: (deprecated) non-finite input policy (``"raise"`` /
-            ``"propagate"``); see :mod:`repro.verify.guards`.
-        policy: the execution policy; mutually exclusive with the
-            legacy kwargs above.
+        policy: the :class:`~repro.runtime.policy.ExecutionPolicy`;
+            ``None`` means ``ExecutionPolicy()``.  TSQR reads its
+            ``block_rows`` (level-0 block height), ``tree_shape`` (see
+            :mod:`repro.core.tree`) and ``nonfinite`` guard, and its path:
+            ``"seed"`` runs the per-node reference loop and
+            ``"structured"`` eliminates the stacked Rs with the
+            sparsity-exploiting structured QR (~3x fewer tree flops).
 
     Returns:
         A :class:`TSQRFactors` holding the implicit Q and the final R.
     """
     from repro.verify.guards import validate_matrix
 
-    policy = resolve_policy(
-        "tsqr",
-        policy,
-        batched=batched,
-        structured=structured,
-        nonfinite=nonfinite,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
+    policy = policy if policy is not None else ExecutionPolicy()
     with _obs.maybe_trace(policy.trace):
         A = validate_matrix(A, where="tsqr", nonfinite=policy.nonfinite)
         with _obs.span(
@@ -833,25 +811,9 @@ def tsqr(
 
 def tsqr_qr(
     A: np.ndarray,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    structured: bool = UNSET,
-    batched: bool = UNSET,
-    nonfinite: str = UNSET,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convenience: explicit thin ``(Q, R)`` via TSQR."""
-    # Resolved here, not in tsqr(), so a legacy-kwarg warning names the
-    # caller's line rather than this one.
-    policy = resolve_policy(
-        "tsqr",
-        policy,
-        batched=batched,
-        structured=structured,
-        nonfinite=nonfinite,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
     f = tsqr(A, policy=policy)
     return f.form_q(), f.R

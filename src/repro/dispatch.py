@@ -23,8 +23,7 @@ from .core.blocked import blocked_qr
 from .gpusim.device import C2050, DeviceSpec
 from .kernels.config import REFERENCE_CONFIG, KernelConfig
 from .obs import tracer as _obs
-from .runtime import ExecutionPolicy, QRPlan, plan_qr, resolve_policy
-from .runtime.policy import UNSET
+from .runtime import ExecutionPolicy, QRPlan, plan_qr
 from .verify.guards import validate_matrix
 
 __all__ = ["EnginePrediction", "DispatchedQR", "QRDispatcher"]
@@ -132,12 +131,9 @@ class QRDispatcher:
         device: DeviceSpec = C2050,
         config: KernelConfig = REFERENCE_CONFIG,
         include_cpu: bool = True,
-        batched: bool = UNSET,
-        lookahead: bool = UNSET,
-        workers: int | None = UNSET,
         cache_size: int = 128,
         cache_shards: int = 8,
-        nonfinite: str = UNSET,
+        *,
         policy: ExecutionPolicy | None = None,
     ) -> None:
         self.device = device
@@ -145,23 +141,16 @@ class QRDispatcher:
         self.include_cpu = include_cpu
         # The dispatcher's default policy mirrors its KernelConfig: the
         # CAQR engine runs with the modeled geometry it was predicted at.
-        default = ExecutionPolicy(
-            path="structured" if config.structured_tree else "batched",
-            panel_width=config.panel_width,
-            block_rows=config.block_rows,
-            tree_shape=config.tree_shape,
-            device=device,
-            config=config,
-        )
-        self.policy = resolve_policy(
-            "QRDispatcher",
-            policy,
-            batched=batched,
-            lookahead=lookahead,
-            workers=workers,
-            nonfinite=nonfinite,
-            default=default,
-        )
+        if policy is None:
+            policy = ExecutionPolicy(
+                path="structured" if config.structured_tree else "batched",
+                panel_width=config.panel_width,
+                block_rows=config.block_rows,
+                tree_shape=config.tree_shape,
+                device=device,
+                config=config,
+            )
+        self.policy = policy
         self._magma = MAGMAQR(gpu=device)
         self._cula = CULAQR(gpu=device)
         self._mkl = MKLQR()
@@ -180,24 +169,6 @@ class QRDispatcher:
         # in practice (callers probe a handful of heights).
         self._crossover_cache: dict[tuple[int, int], int | None] = {}
         self._crossover_lock = threading.Lock()
-
-    # -- legacy attribute views (pre-policy API) ---------------------------
-
-    @property
-    def batched(self) -> bool:
-        return self.policy.uses_batched
-
-    @property
-    def lookahead(self) -> bool:
-        return self.policy.path == "lookahead"
-
-    @property
-    def workers(self) -> int | None:
-        return self.policy.workers
-
-    @property
-    def nonfinite(self) -> str:
-        return self.policy.nonfinite
 
     def predict(self, m: int, n: int) -> list[EnginePrediction]:
         """Modeled runtimes, fastest first (cached per shape)."""

@@ -24,14 +24,15 @@ from repro.core.gram_schmidt import classical_gram_schmidt, modified_gram_schmid
 from repro.core.triangular import SingularTriangularError
 from repro.core.tsqr import tsqr_qr
 from repro.core.validation import orthogonality_error
+from repro.runtime.policy import ExecutionPolicy
 
 from .report import format_table
 
 __all__ = ["StabilityRow", "ALGORITHMS", "run", "format_results", "make_conditioned"]
 
 ALGORITHMS = {
-    "tsqr": lambda A: tsqr_qr(A, block_rows=64),
-    "caqr": lambda A: caqr_qr(A, panel_width=8, block_rows=32),
+    "tsqr": lambda A: tsqr_qr(A, policy=ExecutionPolicy(block_rows=64)),
+    "caqr": lambda A: caqr_qr(A, policy=ExecutionPolicy(panel_width=8, block_rows=32)),
     "blocked_hh": lambda A: blocked_qr(A, nb=8),
     "givens": givens_qr,
     "mgs": modified_gram_schmidt,

@@ -30,7 +30,6 @@ subsystem makes those dependencies explicit — and, since PR 9, generic:
 from .dag import (
     LaunchGraph,
     LaunchNode,
-    build_caqr_graph,
     caqr_launch_graph,
     emit_caqr_layers,
 )
@@ -48,7 +47,6 @@ from .overlap import OverlapResult, simulate_caqr_overlap
 __all__ = [
     "LaunchGraph",
     "LaunchNode",
-    "build_caqr_graph",
     "caqr_launch_graph",
     "emit_caqr_layers",
     "LookaheadCAQRFactors",

@@ -28,9 +28,8 @@ instead depends on *every* update of the previous panel — the serial
 driver's barrier, in graph form.
 
 :func:`caqr_launch_graph` lowers the emitted layers to the positional
-:class:`LaunchGraph` the overlap simulator and structural tests consume;
-:func:`build_caqr_graph` is the deprecated pre-layer spelling of the
-same call.  The serial enumeration itself is untouched — fingerprints
+:class:`LaunchGraph` the overlap simulator and structural tests consume.
+The serial enumeration itself is untouched — fingerprints
 pinned in ``tests/data/fingerprints.json`` hash that stream, and a
 structural test checks the graph merges back into it node for node.
 """
@@ -38,7 +37,6 @@ structural test checks the graph merges back into it node for node.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.tree import build_tree
@@ -61,7 +59,6 @@ __all__ = [
     "emit_caqr_layers",
     "caqr_launch_graph",
     "launch_graph_from_tasks",
-    "build_caqr_graph",
 ]
 
 
@@ -346,20 +343,3 @@ def caqr_launch_graph(
     return launch_graph_from_tasks(
         emit_caqr_layers(m, n, cfg, dev, lookahead=lookahead), cfg, lookahead
     )
-
-
-def build_caqr_graph(
-    m: int,
-    n: int,
-    cfg: KernelConfig = REFERENCE_CONFIG,
-    dev: DeviceSpec = C2050,
-    lookahead: bool = True,
-) -> LaunchGraph:
-    """Deprecated pre-layer spelling of :func:`caqr_launch_graph`."""
-    warnings.warn(
-        "build_caqr_graph is deprecated; use caqr_launch_graph (positional "
-        "launch DAG) or emit_caqr_layers (TaskGraph) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return caqr_launch_graph(m, n, cfg, dev, lookahead=lookahead)

@@ -4,7 +4,7 @@ This is the executor half of the launch-graph subsystem: the same
 dependency structure that :mod:`repro.graph.dag` builds for the
 simulator, run for real over the batched compact-WY kernels of
 :mod:`repro.smallblas.wy`.  Two things distinguish it from the serial
-``caqr(batched=True)`` driver:
+``caqr`` driver (``path="batched"``):
 
 * **Task graph.**  The factorization is a list of tasks — one panel
   factor ``F(p)`` plus one trailing update ``U(p, j)`` per column tile —
@@ -27,7 +27,7 @@ simulator, run for real over the batched compact-WY kernels of
   compact-WY ``(V, T)`` until a Q application needs them (on the
   kernel's gufunc side; its geqrt side returns them with ``R``).
 
-Numerically the executor matches ``caqr(batched=True)`` to roundoff
+Numerically the executor matches the default ``caqr`` path to roundoff
 (both factor every block with :func:`~repro.smallblas.wy.block_qr`; only
 operation *order* across independent tiles differs), and matches itself
 exactly across ``threaded=True/False``.  The ``structured`` tree elimination is not
@@ -49,7 +49,7 @@ from repro.core.tsqr import _WyPlan, _tsqr_impl, apply_wy_plan, level0_rows, row
 from repro.graph.highlevel import TaskGraph
 from repro.graph.order import static_order
 from repro.obs import tracer as _obs
-from repro.runtime.policy import UNSET, ExecutionPolicy, resolve_executor_policy
+from repro.runtime.policy import ExecutionPolicy
 from repro.smallblas.wy import block_qr
 from repro.verify.guards import validate_matrix
 
@@ -735,42 +735,30 @@ def run_lookahead_schedule(
 
 def caqr_lookahead(
     A: np.ndarray,
-    panel_width: int = UNSET,
-    block_rows: int = UNSET,
-    tree_shape: str = UNSET,
-    workers: int | None = UNSET,
-    threaded: bool | None = None,
-    lookahead: bool = UNSET,
-    nonfinite: str = UNSET,
     *,
+    threaded: bool | None = None,
     policy: ExecutionPolicy | None = None,
 ) -> LookaheadCAQRFactors:
     """Factor ``A`` with CAQR executed as a dependency graph.
 
-    Prefer ``policy=`` (an :class:`~repro.runtime.policy.ExecutionPolicy`
-    with ``path="lookahead"``); the loose kwargs are deprecation shims.
-    ``threaded`` stays a live engine knob: it picks thread pool vs
-    program-order loop over the same schedule (defaults to
-    ``workers > 1``) and never changes the bits.
-
-    Legacy kwargs (deprecated): ``workers`` — column tiles per trailing
-    update / pool width; ``lookahead`` — the look-ahead dependency edge
-    (``False`` restores the panel barrier); ``nonfinite`` — input guard
-    policy; plus the panel geometry.
+    ``policy`` must have ``path="lookahead"``; ``None`` means
+    ``ExecutionPolicy(path="lookahead")``.  Its ``workers`` sets the
+    column tiles per trailing update and the pool width, and
+    ``lookahead_edge=False`` restores the panel barrier.  ``threaded``
+    is an engine knob: it picks thread pool vs program-order loop over
+    the same schedule (defaults to ``workers > 1``) and never changes
+    the bits.
 
     Returns:
         :class:`LookaheadCAQRFactors` with the implicit Q and explicit R.
     """
-    policy = resolve_executor_policy(
-        "caqr_lookahead",
-        policy,
-        workers=workers,
-        lookahead=lookahead,
-        nonfinite=nonfinite,
-        panel_width=panel_width,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
+    if policy is None:
+        policy = ExecutionPolicy(path="lookahead")
+    elif policy.path != "lookahead":
+        raise ValueError(
+            "caqr_lookahead: the executor runs the 'lookahead' path, "
+            f"got policy.path={policy.path!r}"
+        )
     with _obs.maybe_trace(policy.trace):
         A = validate_matrix(A, where="caqr_lookahead", nonfinite=policy.nonfinite)
         with _obs.span(

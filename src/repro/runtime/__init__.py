@@ -7,9 +7,9 @@ collapses that sprawl into a Parla-style policy/plan/execute separation:
 
 * :class:`ExecutionPolicy` — a frozen dataclass naming the execution
   path, its geometry, worker count, numerics policy and the modeled
-  device/kernel configuration.  Every entry point accepts ``policy=``;
-  the old kwargs survive as thin deprecation shims that build a policy
-  internally (:func:`resolve_policy`).
+  device/kernel configuration.  Every entry point is
+  ``f(A, *, policy=None)``; a seed-path run, for example, is
+  ``policy=ExecutionPolicy(path="seed")``.
 * :func:`plan_qr` / :class:`QRPlan` — everything shape-dependent about a
   factorization (panel schedule, reduction-tree recipes, look-ahead task
   DAG, compact-WY scratch sizes, the validated policy) computed once and
@@ -30,13 +30,7 @@ call time, so no import cycle exists.
 
 from .cholqr import CholQRFactors, CholQRGuard, count_fallbacks, run_cholqr
 from .plan import QRPlan, plan_qr
-from .policy import (
-    CHOLQR_PATHS,
-    PATH_NAMES,
-    ExecutionPolicy,
-    resolve_executor_policy,
-    resolve_policy,
-)
+from .policy import CHOLQR_PATHS, PATH_NAMES, ExecutionPolicy
 
 __all__ = [
     "CHOLQR_PATHS",
@@ -47,6 +41,4 @@ __all__ = [
     "QRPlan",
     "count_fallbacks",
     "plan_qr",
-    "resolve_executor_policy",
-    "resolve_policy",
 ]

@@ -3,21 +3,18 @@
 An :class:`ExecutionPolicy` is the single source of truth for *how* a
 factorization runs: which execution path, what panel/tree geometry, how
 many workers, which non-finite policy, and which modeled device/kernel
-configuration the cost model should use.  It replaces the five loose
-kwargs (``batched``, ``structured``, ``lookahead``, ``workers``,
-``nonfinite``) that every entry point used to plumb by hand.
-
-The legacy kwargs are mapped onto policies in exactly one place —
-:func:`resolve_policy` — which every shimmed entry point calls.  Passing
-any of the path-selection kwargs emits a :class:`DeprecationWarning`;
-geometry kwargs (``panel_width`` / ``block_rows`` / ``tree_shape``) map
-silently since they stay meaningful per-call.
+configuration the cost model should use.  Every policy-taking entry
+point has the signature ``f(A, *, policy=None)``; ``None`` means that
+entry point's default policy.  The loose kwargs it replaced
+(``batched``, ``structured``, ``lookahead``, ``workers``, ``nonfinite``
+and the panel geometry) were removed; docs/architecture.md ("Execution
+policy & plans") maps each old spelling onto its policy field.
 
 Path names
 ----------
 ``seed``
-    The per-node reference implementation (``batched=False``), kept as
-    the correctness oracle and benchmark baseline.
+    The per-node reference implementation, kept as the correctness
+    oracle and benchmark baseline.
 ``batched``
     Level-batched compact-WY execution (the default).
 ``structured``
@@ -28,8 +25,8 @@ Path names
     sets the column tiling / thread-pool width and ``lookahead_edge``
     selects the look-ahead dependency edge vs the panel barrier.
 ``seed_structured``
-    The oracle combination ``batched=False, structured=True`` — used
-    only by the parity tests; not a production path.
+    The per-node reference loop with the structured tree elimination —
+    used only by the parity tests; not a production path.
 ``cholqr2``
     The BLAS3 fast path: CholeskyQR2 (two Gram/Cholesky/triangular
     passes, ~4mn^2 flops, O(1) kernel launches).  Condition-guarded —
@@ -63,7 +60,6 @@ Path names
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -73,8 +69,6 @@ __all__ = [
     "PATH_NAMES",
     "CHOLQR_PATHS",
     "ExecutionPolicy",
-    "resolve_policy",
-    "resolve_executor_policy",
 ]
 
 PATH_NAMES = (
@@ -93,31 +87,6 @@ PATH_NAMES = (
 # The CholeskyQR2 family: condition-guarded BLAS3 fast paths.  ``auto``
 # belongs here too — it *starts* on the cheap path and owns the fallback.
 CHOLQR_PATHS = ("cholqr2", "cholqr2_mixed", "auto")
-
-# Kwargs whose explicit use triggers a DeprecationWarning at the shims.
-DEPRECATED_KWARGS = ("batched", "structured", "lookahead", "workers", "nonfinite")
-
-
-class _Unset:
-    """Sentinel distinguishing 'caller omitted' from any real value."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<unset>"
-
-
-UNSET = _Unset()
-
-
-def _is_set(value: Any) -> bool:
-    return value is not UNSET
-
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
@@ -147,8 +116,6 @@ class ExecutionPolicy:
             used by ``plan.simulate()``; ``None`` resolves lazily to the
             C2050 reference setup so constructing a policy never imports
             the simulator stack.
-        tuning: optional :class:`repro.tuning.cache.TuningCache` handle
-            for callers that want sweep-informed geometry.
         condition_limit: guard threshold for the CholeskyQR2 paths —
             the largest Gram-diagonal condition estimate the cheap path
             accepts before raising (``cholqr2`` / ``cholqr2_mixed``) or
@@ -199,7 +166,6 @@ class ExecutionPolicy:
     coalesce: bool = True
     device: Any | None = field(default=None, compare=False)
     config: Any | None = field(default=None, compare=False)
-    tuning: Any | None = field(default=None, compare=False)
     trace: Any | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -326,186 +292,3 @@ class ExecutionPolicy:
         if nonfinite == self.nonfinite:
             return self
         return replace(self, nonfinite=nonfinite)
-
-    # -- legacy kwarg mapping ----------------------------------------------
-
-    @classmethod
-    def from_legacy(
-        cls,
-        base: "ExecutionPolicy | None" = None,
-        *,
-        batched: Any = UNSET,
-        structured: Any = UNSET,
-        lookahead: Any = UNSET,
-        workers: Any = UNSET,
-        nonfinite: Any = UNSET,
-        panel_width: Any = UNSET,
-        block_rows: Any = UNSET,
-        tree_shape: Any = UNSET,
-    ) -> "ExecutionPolicy":
-        """Map the pre-policy kwargs onto a policy (no warnings here).
-
-        Unset values inherit from ``base`` (default: a fresh default
-        policy), so a caller that only overrides ``workers`` keeps the
-        base's geometry and guard policy.  The error cases reproduce the
-        pre-policy entry points exactly: ``structured`` and
-        ``batched=False`` are rejected in combination with look-ahead.
-        """
-        base = base if base is not None else cls()
-        b = batched if _is_set(batched) else base.uses_batched
-        s = structured if _is_set(structured) else base.uses_structured
-        la = lookahead if _is_set(lookahead) else (
-            base.path == "lookahead" and base.lookahead_edge
-        )
-        w = workers if _is_set(workers) else base.workers
-        if la or (w is not None and w > 1):
-            if s:
-                raise ValueError(
-                    "structured tree elimination is not supported with lookahead"
-                )
-            if not b:
-                raise ValueError("lookahead requires the batched execution path")
-            path = "lookahead"
-        elif s:
-            path = "structured" if b else "seed_structured"
-        else:
-            path = "batched" if b else "seed"
-        return replace(
-            base,
-            path=path,
-            workers=w,
-            lookahead_edge=bool(la) if path == "lookahead" else True,
-            nonfinite=nonfinite if _is_set(nonfinite) else base.nonfinite,
-            panel_width=panel_width if _is_set(panel_width) else base.panel_width,
-            block_rows=block_rows if _is_set(block_rows) else base.block_rows,
-            tree_shape=tree_shape if _is_set(tree_shape) else base.tree_shape,
-        )
-
-
-def _warn_deprecated(where: str, names: list[str], stacklevel: int) -> None:
-    warnings.warn(
-        f"{where}: the {', '.join(names)} keyword"
-        f"{'s are' if len(names) > 1 else ' is'} deprecated; pass "
-        "policy=repro.runtime.ExecutionPolicy(...) instead "
-        "(see docs/architecture.md, 'Execution policy & plans')",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _check_no_mixing(where: str, explicit: dict) -> None:
-    if explicit:
-        raise ValueError(
-            f"{where}: pass either policy= or the legacy keywords "
-            f"({', '.join(sorted(explicit))}), not both"
-        )
-
-
-def resolve_policy(
-    where: str,
-    policy: ExecutionPolicy | None = None,
-    *,
-    batched: Any = UNSET,
-    structured: Any = UNSET,
-    lookahead: Any = UNSET,
-    workers: Any = UNSET,
-    nonfinite: Any = UNSET,
-    panel_width: Any = UNSET,
-    block_rows: Any = UNSET,
-    tree_shape: Any = UNSET,
-    default: ExecutionPolicy | None = None,
-    stacklevel: int = 4,
-) -> ExecutionPolicy:
-    """The legacy-kwarg shim every policy-accepting entry point uses.
-
-    ``policy`` wins when given (mixing it with any legacy kwarg is an
-    error); otherwise the legacy kwargs are mapped onto ``default`` via
-    :meth:`ExecutionPolicy.from_legacy`, warning once per call for the
-    deprecated path-selection kwargs (geometry kwargs map silently).
-    """
-    explicit = {
-        name: value
-        for name, value in (
-            ("batched", batched),
-            ("structured", structured),
-            ("lookahead", lookahead),
-            ("workers", workers),
-            ("nonfinite", nonfinite),
-            ("panel_width", panel_width),
-            ("block_rows", block_rows),
-            ("tree_shape", tree_shape),
-        )
-        if _is_set(value)
-    }
-    if policy is not None:
-        _check_no_mixing(where, explicit)
-        return policy
-    deprecated = sorted(set(explicit) & set(DEPRECATED_KWARGS))
-    if deprecated:
-        _warn_deprecated(where, deprecated, stacklevel)
-    return ExecutionPolicy.from_legacy(
-        default,
-        batched=batched,
-        structured=structured,
-        lookahead=lookahead,
-        workers=workers,
-        nonfinite=nonfinite,
-        panel_width=panel_width,
-        block_rows=block_rows,
-        tree_shape=tree_shape,
-    )
-
-
-def resolve_executor_policy(
-    where: str,
-    policy: ExecutionPolicy | None = None,
-    *,
-    workers: Any = UNSET,
-    lookahead: Any = UNSET,
-    nonfinite: Any = UNSET,
-    panel_width: Any = UNSET,
-    block_rows: Any = UNSET,
-    tree_shape: Any = UNSET,
-    stacklevel: int = 4,
-) -> ExecutionPolicy:
-    """Shim for :func:`repro.graph.executor.caqr_lookahead`.
-
-    The executor entry is always the look-ahead path; its legacy
-    ``lookahead`` kwarg selects the look-ahead *edge* (vs the panel
-    barrier), not the path, so it maps to ``lookahead_edge``.
-    """
-    explicit = {
-        name: value
-        for name, value in (
-            ("workers", workers),
-            ("lookahead", lookahead),
-            ("nonfinite", nonfinite),
-            ("panel_width", panel_width),
-            ("block_rows", block_rows),
-            ("tree_shape", tree_shape),
-        )
-        if _is_set(value)
-    }
-    if policy is not None:
-        _check_no_mixing(where, explicit)
-        if policy.path != "lookahead":
-            raise ValueError(
-                f"{where}: the executor runs the 'lookahead' path, "
-                f"got policy.path={policy.path!r}"
-            )
-        return policy
-    deprecated = sorted(set(explicit) & set(DEPRECATED_KWARGS))
-    if deprecated:
-        _warn_deprecated(where, deprecated, stacklevel)
-    w = workers if _is_set(workers) else None
-    if w is not None and w < 1:
-        raise ValueError("workers must be positive")
-    return ExecutionPolicy(
-        path="lookahead",
-        workers=w,
-        lookahead_edge=bool(lookahead) if _is_set(lookahead) else True,
-        nonfinite=nonfinite if _is_set(nonfinite) else "raise",
-        panel_width=panel_width if _is_set(panel_width) else 16,
-        block_rows=block_rows if _is_set(block_rows) else 64,
-        tree_shape=tree_shape if _is_set(tree_shape) else "quad",
-    )

@@ -7,7 +7,7 @@ strided views) and matrix kinds (Gaussian, graded spectrum, extreme
 "huge"/"tiny" scales that stress the rescaled reflector path), each
 factored through every execution path —
 
-* ``seed``          — the per-node reference path (``batched=False``)
+* ``seed``          — the per-node reference path (``path="seed"``)
 * ``batched``       — level-batched compact-WY (the default)
 * ``structured``    — sparsity-exploiting stacked-triangle tree
 * ``lookahead``     — the task-graph executor, serial

@@ -111,7 +111,8 @@ def _raise_on_nonfinite(A: np.ndarray, where: str) -> None:
     raise ValueError(
         f"{where}: input contains {bad.shape[0]} non-finite entr"
         f"{'y' if bad.shape[0] == 1 else 'ies'}; first is {kind} at index {idx}. "
-        "Pass nonfinite='propagate' to skip this check."
+        "Pass policy=ExecutionPolicy(nonfinite='propagate') (or "
+        "nonfinite='propagate' where the function takes it) to skip this check."
     )
 
 

@@ -28,6 +28,7 @@ from repro.core.householder import geqr2, extract_r
 from repro.core.tsqr import tsqr_qr
 from repro.core.triangular import SingularTriangularError
 from repro.core.validation import factorization_error, orthogonality_error
+from repro.runtime import ExecutionPolicy
 
 
 class TestGivens:
@@ -130,7 +131,7 @@ class TestStabilityOrdering:
     def test_householder_tsqr_beats_cgs_and_cholqr(self, matrix_factory):
         A = matrix_factory(300, 12, cond=1e6)
         err = {}
-        Q, _ = tsqr_qr(A, block_rows=64)
+        Q, _ = tsqr_qr(A, policy=ExecutionPolicy(block_rows=64))
         err["tsqr"] = orthogonality_error(Q)
         Q, _ = classical_gram_schmidt(A)
         err["cgs"] = orthogonality_error(Q)

@@ -14,6 +14,7 @@ from repro.core.validation import (
     sign_canonical,
     triangularity_error,
 )
+from repro.runtime import ExecutionPolicy
 
 
 class TestCAQRFactorization:
@@ -31,14 +32,15 @@ class TestCAQRFactorization:
     @pytest.mark.parametrize("tree_shape", ["quad", "binomial"])
     def test_qr_quality(self, rng, m, n, pw, br, tree_shape):
         A = rng.standard_normal((m, n))
-        Q, R = caqr_qr(A, panel_width=pw, block_rows=br, tree_shape=tree_shape)
+        policy = ExecutionPolicy(panel_width=pw, block_rows=br, tree_shape=tree_shape)
+        Q, R = caqr_qr(A, policy=policy)
         assert factorization_error(A, Q, R) < 1e-12
         assert orthogonality_error(Q) < 1e-12
         assert triangularity_error(R) == 0.0
 
     def test_r_matches_scipy_canonical(self, rng):
         A = rng.standard_normal((160, 48))
-        Q, R = caqr_qr(A, panel_width=16, block_rows=32)
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(panel_width=16, block_rows=32))
         R_sp = scipy.linalg.qr(A, mode="r")[0][:48]
         _, Rc = sign_canonical(Q, R)
         _, Rsp_c = sign_canonical(np.zeros((48, 48)), R_sp)
@@ -46,7 +48,7 @@ class TestCAQRFactorization:
 
     def test_matches_blocked_householder(self, rng):
         A = rng.standard_normal((120, 40))
-        Qc, Rc = caqr_qr(A, panel_width=8, block_rows=24)
+        Qc, Rc = caqr_qr(A, policy=ExecutionPolicy(panel_width=8, block_rows=24))
         Qb, Rb = blocked_qr(A, nb=8)
         _, Rc_ = sign_canonical(Qc, Rc)
         _, Rb_ = sign_canonical(Qb, Rb)
@@ -54,25 +56,25 @@ class TestCAQRFactorization:
 
     def test_wide_matrix(self, rng):
         A = rng.standard_normal((40, 100))
-        Q, R = caqr_qr(A, panel_width=8, block_rows=16)
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(panel_width=8, block_rows=16))
         assert Q.shape == (40, 40)
         assert R.shape == (40, 100)
         assert factorization_error(A, Q, R) < 1e-12
 
     def test_panel_width_larger_than_n(self, rng):
         A = rng.standard_normal((100, 10))
-        Q, R = caqr_qr(A, panel_width=64, block_rows=32)
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(panel_width=64, block_rows=32))
         assert factorization_error(A, Q, R) < 1e-13
 
     def test_single_column(self, rng):
         A = rng.standard_normal((77, 1))
-        Q, R = caqr_qr(A, panel_width=4, block_rows=16)
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(panel_width=4, block_rows=16))
         assert abs(abs(R[0, 0]) - np.linalg.norm(A)) < 1e-12
 
     def test_rank_deficient(self, rng):
         B = rng.standard_normal((150, 5))
         A = B @ rng.standard_normal((5, 30))  # rank 5
-        Q, R = caqr_qr(A, panel_width=8, block_rows=32)
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(panel_width=8, block_rows=32))
         assert factorization_error(A, Q, R) < 1e-12
         # R's diagonal collapses after the rank.
         d = np.abs(np.diag(R))
@@ -80,7 +82,7 @@ class TestCAQRFactorization:
 
     def test_invalid_panel_width(self, rng):
         with pytest.raises(ValueError):
-            caqr(rng.standard_normal((10, 10)), panel_width=0)
+            caqr(rng.standard_normal((10, 10)), policy=ExecutionPolicy(panel_width=0))
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
@@ -89,14 +91,14 @@ class TestCAQRFactorization:
     def test_input_unmodified(self, rng):
         A = rng.standard_normal((64, 32))
         A0 = A.copy()
-        caqr(A, panel_width=16, block_rows=32)
+        caqr(A, policy=ExecutionPolicy(panel_width=16, block_rows=32))
         assert np.array_equal(A, A0)
 
 
 class TestCAQRApply:
     def test_apply_qt_annihilates_below_r(self, rng):
         A = rng.standard_normal((96, 32))
-        f = caqr(A, panel_width=16, block_rows=32)
+        f = caqr(A, policy=ExecutionPolicy(panel_width=16, block_rows=32))
         QtA = f.apply_qt(A.copy())
         assert np.allclose(np.triu(QtA[:32]), f.R, atol=1e-12)
         assert np.linalg.norm(QtA[32:]) < 1e-10
@@ -104,26 +106,28 @@ class TestCAQRApply:
 
     def test_roundtrip(self, rng):
         A = rng.standard_normal((128, 48))
-        f = caqr(A, panel_width=16, block_rows=32)
+        f = caqr(A, policy=ExecutionPolicy(panel_width=16, block_rows=32))
         B = rng.standard_normal((128, 6))
         out = f.apply_q(f.apply_qt(B.copy()))
         assert np.allclose(out, B, atol=1e-12)
 
     def test_form_q_matches_apply(self, rng):
         A = rng.standard_normal((80, 20))
-        f = caqr(A, panel_width=8, block_rows=16)
+        f = caqr(A, policy=ExecutionPolicy(panel_width=8, block_rows=16))
         Q = f.form_q()
         B = rng.standard_normal((20, 3))
         got = f.apply_q(np.vstack([B, np.zeros((60, 3))]))
         assert np.allclose(got, Q @ B, atol=1e-12)
 
     def test_row_mismatch_raises(self, rng):
-        f = caqr(rng.standard_normal((32, 8)), panel_width=4, block_rows=8)
+        policy = ExecutionPolicy(panel_width=4, block_rows=8)
+        f = caqr(rng.standard_normal((32, 8)), policy=policy)
         with pytest.raises(ValueError):
             f.apply_q(np.zeros((31, 1)))
 
     def test_panel_count(self, rng):
-        f = caqr(rng.standard_normal((128, 64)), panel_width=16, block_rows=64)
+        policy = ExecutionPolicy(panel_width=16, block_rows=64)
+        f = caqr(rng.standard_normal((128, 64)), policy=policy)
         assert len(f.panels) == 4
         assert [p.col_start for p in f.panels] == [0, 16, 32, 48]
         # Grid redrawn lower by the panel width each step.

@@ -21,6 +21,7 @@ from repro.core.streaming import StreamingTSQR
 from repro.core.tsqr import tsqr_qr
 from repro.core.validation import is_factorization_accurate
 from repro.rpca import rpca_ialm
+from repro.runtime import ExecutionPolicy
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN arithmetic is the point
@@ -38,7 +39,10 @@ class TestNonFinitePropagation:
     def test_qr_propagates_and_validation_flags(self, rng, qr, bad):
         A = rng.standard_normal((64, 8))
         A[17, 3] = bad
-        Q, R = qr(A, nonfinite="propagate")
+        if qr is blocked_qr:  # a baseline: takes the guard knob directly
+            Q, R = qr(A, nonfinite="propagate")
+        else:
+            Q, R = qr(A, policy=ExecutionPolicy(nonfinite="propagate"))
         assert not np.all(np.isfinite(Q)) or not np.all(np.isfinite(R))
         assert not is_factorization_accurate(A, Q, R)
 
@@ -71,7 +75,7 @@ class TestDegenerateShapes:
 
     def test_single_row(self):
         A = np.array([[1.0, 2.0, 3.0]])
-        Q, R = caqr_qr(A, panel_width=2, block_rows=4)
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(panel_width=2, block_rows=4))
         assert Q.shape == (1, 1)
         assert np.allclose(np.abs(Q @ R), np.abs(A))
 
@@ -83,7 +87,7 @@ class TestDegenerateShapes:
 
     def test_constant_columns(self, rng):
         A = np.ones((30, 4))
-        Q, R = tsqr_qr(A, block_rows=8)
+        Q, R = tsqr_qr(A, policy=ExecutionPolicy(block_rows=8))
         assert abs(abs(R[0, 0]) - np.sqrt(30)) < 1e-9  # ||column of ones||
         assert np.abs(np.diag(R)[1:]).max() < 1e-12
 

@@ -23,6 +23,7 @@ from repro.core.validation import (
     orthogonality_error,
     sign_canonical,
 )
+from repro.runtime import ExecutionPolicy
 
 # Moderate sizes keep the pure-NumPy factorizations fast under many examples.
 dims = st.tuples(st.integers(4, 120), st.integers(1, 24)).filter(lambda t: t[0] >= t[1])
@@ -65,7 +66,7 @@ def test_geqr2_backward_stable_across_scales(dims, seed, scale):
 def test_tsqr_invariants(dims, seed, block_rows, shape):
     m, n = dims
     A = _random_matrix(m, n, seed)
-    Q, R = tsqr_qr(A, block_rows=block_rows, tree_shape=shape)
+    Q, R = tsqr_qr(A, policy=ExecutionPolicy(block_rows=block_rows, tree_shape=shape))
     assert factorization_error(A, Q, R) < 1e-11
     assert orthogonality_error(Q) < 1e-11
     assert np.allclose(np.tril(R, -1), 0.0)
@@ -81,7 +82,7 @@ def test_tsqr_invariants(dims, seed, block_rows, shape):
 def test_caqr_invariants(dims, seed, pw, br):
     m, n = dims
     A = _random_matrix(m, n, seed)
-    Q, R = caqr_qr(A, panel_width=pw, block_rows=br)
+    Q, R = caqr_qr(A, policy=ExecutionPolicy(panel_width=pw, block_rows=br))
     assert factorization_error(A, Q, R) < 1e-11
     assert orthogonality_error(Q) < 1e-11
 
@@ -91,7 +92,7 @@ def test_caqr_invariants(dims, seed, pw, br):
 def test_tsqr_r_matches_numpy_up_to_signs(dims, seed, br):
     m, n = dims
     A = _random_matrix(m, n, seed)
-    Q, R = tsqr_qr(A, block_rows=br)
+    Q, R = tsqr_qr(A, policy=ExecutionPolicy(block_rows=br))
     Q_np, R_np = np.linalg.qr(A)
     _, Rc = sign_canonical(Q, R)
     _, Rc_np = sign_canonical(Q_np, R_np)
@@ -103,7 +104,7 @@ def test_tsqr_r_matches_numpy_up_to_signs(dims, seed, br):
 def test_apply_q_qt_roundtrip(dims, seed, br, k):
     m, n = dims
     A = _random_matrix(m, n, seed)
-    f = tsqr(A, block_rows=br)
+    f = tsqr(A, policy=ExecutionPolicy(block_rows=br))
     B = np.random.default_rng(seed + 1).standard_normal((m, k))
     out = f.apply_q(f.apply_qt(B.copy()))
     assert np.allclose(out, B, atol=1e-10)

@@ -18,6 +18,7 @@ from repro.core.jacobi_svd import jacobi_svd
 from repro.core.tsqr import tsqr, tsqr_qr
 from repro.core.ts_svd import tall_skinny_svd
 from repro.core.validation import factorization_error, orthogonality_error
+from repro.runtime import ExecutionPolicy
 
 F32_TOL = 5e-5  # generous multiple of float32 eps * sqrt(size)
 
@@ -74,7 +75,7 @@ class TestSinglePrecisionQR:
 
     def test_apply_qt_preserves_f32(self, rng):
         A = rng.standard_normal((128, 8)).astype(np.float32)
-        f = tsqr(A, block_rows=32)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=32))
         B = rng.standard_normal((128, 3)).astype(np.float32)
         out = f.apply_qt(B)
         assert out.dtype == np.float32
@@ -103,7 +104,7 @@ class TestSinglePrecisionQR:
 
     def test_mixed_inputs_promote_to_f64(self, rng):
         A = rng.standard_normal((64, 4)).astype(np.float32)
-        f = tsqr(A, block_rows=16)
+        f = tsqr(A, policy=ExecutionPolicy(block_rows=16))
         B64 = rng.standard_normal((64, 2))
         out = f.apply_qt(B64)
         assert out.dtype == np.float64

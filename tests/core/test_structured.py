@@ -16,6 +16,7 @@ from repro.core.validation import (
     orthogonality_error,
     sign_canonical,
 )
+from repro.runtime import ExecutionPolicy
 
 
 def triangles(rng, q, n, dtype=np.float64):
@@ -94,8 +95,8 @@ class TestStructuredStackQR:
 class TestStructuredTSQR:
     def test_same_factorization_as_dense(self, rng):
         A = rng.standard_normal((640, 16))
-        Qs, Rs = tsqr_qr(A, block_rows=64, structured=True)
-        Qd, Rd = tsqr_qr(A, block_rows=64, structured=False)
+        Qs, Rs = tsqr_qr(A, policy=ExecutionPolicy(path="structured", block_rows=64))
+        Qd, Rd = tsqr_qr(A, policy=ExecutionPolicy(block_rows=64))
         _, Rsc = sign_canonical(Qs, Rs)
         _, Rdc = sign_canonical(Qd, Rd)
         assert np.allclose(Rsc, Rdc, atol=1e-10)
@@ -104,8 +105,8 @@ class TestStructuredTSQR:
 
     def test_apply_qt_consistent(self, rng):
         A = rng.standard_normal((320, 8))
-        fs = tsqr(A, block_rows=32, structured=True)
-        fd = tsqr(A, block_rows=32, structured=False)
+        fs = tsqr(A, policy=ExecutionPolicy(path="structured", block_rows=32))
+        fd = tsqr(A, policy=ExecutionPolicy(block_rows=32))
         B = rng.standard_normal((320, 4))
         # Q differs only by signs; Q^T Q = I for compositions of each.
         out = fs.apply_q(fs.apply_qt(B.copy()))
@@ -115,14 +116,16 @@ class TestStructuredTSQR:
     @pytest.mark.parametrize("shape", ["binary", "quad", "binomial"])
     def test_all_tree_shapes(self, rng, shape):
         A = rng.standard_normal((500, 12))
-        Q, R = tsqr_qr(A, block_rows=32, tree_shape=shape, structured=True)
+        policy = ExecutionPolicy(path="structured", block_rows=32, tree_shape=shape)
+        Q, R = tsqr_qr(A, policy=policy)
         assert factorization_error(A, Q, R) < 1e-12
 
     def test_caqr_structured(self, rng):
         from repro.core.caqr import caqr_qr
 
         A = rng.standard_normal((200, 48))
-        Q, R = caqr_qr(A, panel_width=16, block_rows=32, structured=True)
+        policy = ExecutionPolicy(path="structured", panel_width=16, block_rows=32)
+        Q, R = caqr_qr(A, policy=policy)
         assert factorization_error(A, Q, R) < 1e-12
         assert orthogonality_error(Q) < 1e-12
 

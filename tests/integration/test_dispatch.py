@@ -112,16 +112,23 @@ class TestPredictionCache:
 
 class TestLookaheadPlumbing:
     def test_qr_forwards_execution_options(self, rng):
-        with pytest.warns(DeprecationWarning):
-            d = QRDispatcher(lookahead=True, workers=2)
-        # The legacy kwargs resolve into the dispatcher's policy, and the
-        # pre-policy attributes still read back through it.
+        from repro.kernels.config import REFERENCE_CONFIG as cfg
+        from repro.runtime import ExecutionPolicy
+
+        d = QRDispatcher(
+            policy=ExecutionPolicy(
+                path="lookahead",
+                workers=2,
+                panel_width=cfg.panel_width,
+                block_rows=cfg.block_rows,
+                tree_shape=cfg.tree_shape,
+            )
+        )
         assert d.policy.path == "lookahead" and d.policy.workers == 2
-        assert d.lookahead is True and d.workers == 2 and d.batched is True
         A = rng.standard_normal((2000, 24))
         out = d.qr(A)
         assert out.engine == "caqr"
-        # The cached plan carries the same policy the kwargs named.
+        # The cached plan carries the same policy the dispatcher was given.
         plan = d.plan_for(2000, 24)
         assert plan.policy is d.policy
         assert factorization_error(A, out.Q, out.R) < 1e-12

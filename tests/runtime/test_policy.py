@@ -1,17 +1,22 @@
-"""ExecutionPolicy: validation, legacy-kwarg mapping, deprecation contract.
+"""ExecutionPolicy: validation, and the ``f(A, *, policy=None)`` contract.
 
-The policy layer is the single place the five legacy kwargs are mapped
-onto execution paths; these tests pin that mapping (including the error
-cases the pre-policy entry points raised) and the deprecation surface.
+The policy is the only way to choose how a factorization runs; these
+tests pin its validation and that every public entry point takes it as
+its single keyword-only execution argument.
 """
 
 from __future__ import annotations
 
+import inspect
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.runtime import ExecutionPolicy
-from repro.runtime.policy import UNSET, resolve_executor_policy, resolve_policy
 from repro.verify.guards import GuardError
+
+LINT_DIR = Path(__file__).resolve().parents[2] / "tools"
 
 
 class TestValidation:
@@ -57,118 +62,105 @@ class TestValidation:
         assert p.with_nonfinite("propagate").nonfinite == "propagate"
 
 
-class TestFromLegacy:
-    @pytest.mark.parametrize(
-        "kwargs,path",
-        [
-            ({}, "batched"),
-            ({"batched": False}, "seed"),
-            ({"structured": True}, "structured"),
-            ({"batched": False, "structured": True}, "seed_structured"),
-            ({"lookahead": True}, "lookahead"),
-            ({"workers": 3}, "lookahead"),
-        ],
-    )
-    def test_mapping(self, kwargs, path):
-        assert ExecutionPolicy.from_legacy(**kwargs).path == path
-
-    def test_lookahead_rejects_structured(self):
-        with pytest.raises(ValueError, match="not supported with lookahead"):
-            ExecutionPolicy.from_legacy(lookahead=True, structured=True)
-
-    def test_lookahead_rejects_seed(self):
-        with pytest.raises(ValueError, match="requires the batched"):
-            ExecutionPolicy.from_legacy(lookahead=True, batched=False)
-
-    def test_unset_inherits_base(self):
-        base = ExecutionPolicy(panel_width=8, block_rows=32, nonfinite="propagate")
-        p = ExecutionPolicy.from_legacy(base, workers=2, lookahead=True)
-        assert p.path == "lookahead" and p.workers == 2
-        assert p.panel_width == 8 and p.block_rows == 32
-        assert p.nonfinite == "propagate"
+def _load_entry_points() -> frozenset:
+    """The layering lint's list of policy-taking public entry points."""
+    sys.path.insert(0, str(LINT_DIR))
+    try:
+        import lint_layering
+    finally:
+        sys.path.pop(0)
+    return frozenset(lint_layering.ENTRY_POINTS)
 
 
-class TestResolvePolicy:
-    def test_policy_wins(self):
-        p = ExecutionPolicy(path="seed")
-        assert resolve_policy("t", p) is p
+def _entry_point(name: str):
+    """``(callable, run, default)`` for one entry point.
 
-    def test_mixing_policy_and_legacy_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_policy("t", ExecutionPolicy(), batched=False)
+    ``run(policy)`` calls it on a fixed matrix and returns the array whose
+    bits the contract compares (R for the QR entry points, the basis or
+    the singular values for the SVD ones, L for the SVT); ``default`` is
+    the explicit policy that ``policy=None`` stands for.
+    """
+    import numpy as np
 
-    def test_deprecated_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="docs/architecture.md"):
-            p = resolve_policy("t", None, batched=False, stacklevel=2)
-        assert p.path == "seed"
+    from repro.caqr_gpu import caqr_gpu_factor
+    from repro.core.caqr import caqr, caqr_qr
+    from repro.core.randomized_svd import randomized_range_finder, randomized_svd
+    from repro.core.tsqr import tsqr, tsqr_qr
+    from repro.dispatch import QRDispatcher
+    from repro.gpusim.device import C2050
+    from repro.graph.executor import caqr_lookahead
+    from repro.kernels.config import REFERENCE_CONFIG as cfg
+    from repro.rpca.adaptive import AdaptiveSVT
 
-    def test_geometry_kwargs_map_silently(self, recwarn):
-        p = resolve_policy("t", None, panel_width=4, block_rows=8, tree_shape="binary")
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-        assert (p.panel_width, p.block_rows, p.tree_shape) == (4, 8, "binary")
+    A = np.random.default_rng(31).standard_normal((300, 40))
+    rsvd = ExecutionPolicy(block_rows=256)
+    table = {
+        "caqr": (caqr, lambda p: caqr(A, policy=p).R, ExecutionPolicy()),
+        "caqr_qr": (caqr_qr, lambda p: caqr_qr(A, policy=p)[1], ExecutionPolicy()),
+        "tsqr": (tsqr, lambda p: tsqr(A, policy=p).R, ExecutionPolicy()),
+        "tsqr_qr": (tsqr_qr, lambda p: tsqr_qr(A, policy=p)[1], ExecutionPolicy()),
+        "caqr_gpu_factor": (
+            caqr_gpu_factor,
+            lambda p: caqr_gpu_factor(A, policy=p)[0].R,
+            ExecutionPolicy(device=C2050, config=cfg),
+        ),
+        "caqr_lookahead": (
+            caqr_lookahead,
+            lambda p: caqr_lookahead(A, policy=p).R,
+            ExecutionPolicy(path="lookahead"),
+        ),
+        "randomized_svd": (
+            randomized_svd,
+            lambda p: randomized_svd(A, 4, policy=p)[1],
+            rsvd,
+        ),
+        "randomized_range_finder": (
+            randomized_range_finder,
+            lambda p: randomized_range_finder(A, 4, policy=p),
+            rsvd,
+        ),
+        "QRDispatcher": (
+            QRDispatcher,
+            lambda p: QRDispatcher(policy=p).qr(A).R,
+            ExecutionPolicy(
+                panel_width=cfg.panel_width,
+                block_rows=cfg.block_rows,
+                tree_shape=cfg.tree_shape,
+            ),
+        ),
+        "AdaptiveSVT": (AdaptiveSVT, lambda p: AdaptiveSVT(policy=p)(A, 1.0)[0], rsvd),
+    }
+    return table[name]
 
-    def test_unset_sentinel_is_singleton_and_falsy_free(self):
-        from repro.runtime.policy import _Unset
 
-        assert _Unset() is UNSET
+# The execution kwargs the entry points used to take beside ``policy=``.
+REMOVED_KWARGS = (
+    "batched",
+    "structured",
+    "lookahead",
+    "workers",
+    "nonfinite",
+    "panel_width",
+    "block_rows",
+    "tree_shape",
+)
 
-    def test_executor_policy_maps_lookahead_to_edge(self):
-        with pytest.warns(DeprecationWarning):
-            p = resolve_executor_policy("t", None, lookahead=False, stacklevel=2)
-        assert p.path == "lookahead" and p.lookahead_edge is False
 
-    def test_executor_rejects_non_lookahead_policy(self):
-        with pytest.raises(ValueError, match="'lookahead' path"):
-            resolve_executor_policy("t", ExecutionPolicy(path="batched"))
+class TestEntryPointContract:
+    """Every policy-taking entry point is ``f(A, *, policy=None)``."""
 
-
-class TestEntryPointShims:
-    """Every public entry point accepts policy= and warns on legacy kwargs."""
-
-    def test_caqr_qr_legacy_warns_and_matches_policy(self, rng):
+    @pytest.mark.parametrize("name", sorted(_load_entry_points()))
+    def test_policy_is_the_only_execution_argument(self, name):
         import numpy as np
 
-        from repro.core.caqr import caqr_qr
-
-        A = rng.standard_normal((64, 12))
-        with pytest.warns(DeprecationWarning):
-            Q1, R1 = caqr_qr(A, batched=False, panel_width=4, block_rows=8)
-        Q2, R2 = caqr_qr(
-            A, policy=ExecutionPolicy(path="seed", panel_width=4, block_rows=8)
-        )
-        np.testing.assert_array_equal(Q1, Q2)
-        np.testing.assert_array_equal(R1, R2)
-
-    @pytest.mark.parametrize(
-        "name,kw", [("caqr_qr", {"lookahead": True}), ("tsqr_qr", {"batched": False})]
-    )
-    def test_wrapper_warns_at_callers_line(self, rng, name, kw):
-        import repro.core
-
-        fn = getattr(repro.core, name)
-        with pytest.warns(DeprecationWarning) as record:
-            fn(rng.standard_normal((64, 8)), **kw)
-        assert len(record) == 1
-        assert record[0].filename == __file__
-
-    def test_tsqr_legacy_warns(self, rng):
-        from repro.core.tsqr import tsqr
-
-        with pytest.warns(DeprecationWarning):
-            tsqr(rng.standard_normal((64, 8)), batched=False)
-
-    def test_rsvd_legacy_warns(self, rng):
-        from repro.core.randomized_svd import randomized_svd
-
-        with pytest.warns(DeprecationWarning):
-            randomized_svd(rng.standard_normal((60, 30)), k=4, batched=False)
-
-    def test_adaptive_svt_legacy_warns(self):
-        from repro.rpca.adaptive import AdaptiveSVT
-
-        with pytest.warns(DeprecationWarning):
-            svt = AdaptiveSVT(batched=False)
-        assert svt.policy.path == "seed"
+        fn, run, default = _entry_point(name)
+        params = inspect.signature(fn).parameters
+        assert params["policy"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["policy"].default is None
+        assert not set(REMOVED_KWARGS) & set(params)
+        with pytest.raises(TypeError):
+            fn(np.ones((8, 2)), batched=False)
+        assert np.array_equal(run(None), run(default))
 
     def test_default_calls_do_not_warn(self, rng, recwarn):
         from repro.core.caqr import caqr_qr

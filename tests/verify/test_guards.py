@@ -23,6 +23,7 @@ from repro.core.tsqr import tsqr_qr
 from repro.dispatch import QRDispatcher
 from repro.graph.executor import caqr_lookahead
 from repro.rpca.adaptive import AdaptiveSVT
+from repro.runtime import ExecutionPolicy
 from repro.verify.guards import GuardError, validate_matrix, validate_nonfinite_policy
 
 # Every public entry point, normalized to a callable taking one matrix.
@@ -38,6 +39,18 @@ ENTRY_POINTS = {
     "cholesky_qr": lambda A: cholesky_qr(A),
     "cgs2": lambda A: cgs2(A),
 }
+
+
+def _dispatcher_policy(**fields) -> ExecutionPolicy:
+    """A :class:`QRDispatcher`'s default policy, with ``fields`` changed."""
+    from repro.kernels.config import REFERENCE_CONFIG as cfg
+
+    return ExecutionPolicy(
+        panel_width=cfg.panel_width,
+        block_rows=cfg.block_rows,
+        tree_shape=cfg.tree_shape,
+        **fields,
+    )
 
 
 @pytest.fixture(params=list(ENTRY_POINTS))
@@ -85,11 +98,19 @@ class TestNonFiniteGuard:
         with pytest.raises(ValueError, match="propagate"):
             tsqr_qr(A)
 
+    def test_error_message_names_the_policy_field(self, rng):
+        from repro.core.caqr import caqr
+
+        A = rng.standard_normal((16, 4))
+        A[3, 1] = np.nan
+        with pytest.raises(ValueError, match=r"ExecutionPolicy\(nonfinite='propagate'\)"):
+            caqr(A)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_propagate_opt_in(self, rng):
         A = rng.standard_normal((64, 8))
         A[17, 3] = np.nan
-        Q, R = caqr_qr(A, nonfinite="propagate")
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(nonfinite="propagate"))
         assert not np.isfinite(Q).all() or not np.isfinite(R).all()
 
     def test_dispatcher_propagate_is_constructor_state(self, rng):
@@ -97,16 +118,16 @@ class TestNonFiniteGuard:
         A[1, 1] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             QRDispatcher().qr(A)
-        res = QRDispatcher(nonfinite="propagate").qr(A)
+        res = QRDispatcher(policy=_dispatcher_policy(nonfinite="propagate")).qr(A)
         assert not np.isfinite(res.R).all()
 
     def test_unknown_policy_is_guard_error(self):
         with pytest.raises(GuardError, match="nonfinite"):
             validate_nonfinite_policy("explode")
         with pytest.raises(GuardError):
-            QRDispatcher(nonfinite="explode")
+            QRDispatcher(policy=_dispatcher_policy(nonfinite="explode"))
         with pytest.raises(GuardError):
-            AdaptiveSVT(nonfinite="explode")
+            AdaptiveSVT(policy=ExecutionPolicy(block_rows=256, nonfinite="explode"))
 
 
 class TestNormalization:
@@ -132,7 +153,7 @@ class TestNormalization:
 
     def test_int_matrix_factors_end_to_end(self):
         A = np.arange(1, 33).reshape(8, 4)
-        Q, R = caqr_qr(A, panel_width=2, block_rows=4)
+        Q, R = caqr_qr(A, policy=ExecutionPolicy(panel_width=2, block_rows=4))
         assert Q.dtype == np.float64
         assert np.allclose(Q @ R, A.astype(np.float64))
 

@@ -2,12 +2,12 @@
 """Layering lint: path-selection kwargs live in ``repro.runtime`` only.
 
 The policy refactor routed every execution-path decision through
-``repro.runtime.ExecutionPolicy``.  The legacy keywords (``batched``,
-``structured``, ``lookahead``, ``workers``) survive on the public entry
-points as deprecation shims for *external* callers — but no module
-inside this repository may construct them directly anymore: internal
-code passes ``policy=`` (or calls the ``_impl`` layers), so future
-backends/telemetry hook in at exactly one place.
+``repro.runtime.ExecutionPolicy``.  The public entry points take only
+``policy=`` now (the old ``batched``, ``structured``, ``lookahead`` and
+``workers`` keywords raise ``TypeError``); this rule keeps any module
+inside the repository from spelling them on an entry-point call, so
+internal code passes ``policy=`` (or calls the ``_impl`` layers) and
+future backends/telemetry hook in at exactly one place.
 
 The same ownership rule covers the CholeskyQR2 condition guard: every
 accept/reject threshold and fallback decision is a *policy*, so
@@ -55,8 +55,8 @@ while unrelated keywords named ``workers`` on non-entry-point calls
 (e.g. ``ThreadPoolExecutor(max_workers=...)``) are not.
 
 Scanned: ``src/repro`` (minus ``repro/runtime``, which owns the
-mapping), ``benchmarks/``, ``examples/``.  Tests are exempt — they
-deliberately exercise the deprecation shims.
+policy), ``benchmarks/``, ``examples/``.  Tests are exempt — they
+deliberately pass the removed keywords to check the ``TypeError``.
 
 Exit status 1 lists every violation as ``file:line``.
 """
@@ -69,7 +69,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-# Public entry points that accept (deprecated) path-selection kwargs.
+# Public entry points, each ``f(A, *, policy=None)``.
 ENTRY_POINTS = {
     "caqr",
     "caqr_qr",
@@ -183,8 +183,7 @@ def scan_file(path: Path) -> list[tuple[int, str, str]]:
         if name not in ENTRY_POINTS:
             continue
         if enclosing in ENTRY_POINTS:
-            # A shim forwarding to its sibling (caqr_qr -> caqr): the
-            # shims themselves are the sanctioned legacy surface.
+            # An entry point forwarding to its sibling (caqr_qr -> caqr).
             continue
         bad = sorted(
             kw.arg for kw in node.keywords if kw.arg in PATH_KWARGS
